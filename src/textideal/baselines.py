@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import gammaln
 
 from . import engine
-from .engine import AdamState, GaussianFamily, NormalPrior, VariationalState
+from .engine import AdamState, NormalPrior, VariationalState, gaussian_families
 
 
 class DebateTooSmall(Exception):
@@ -146,23 +145,13 @@ WordfishFit = namedtuple("WordfishFit", ["x_hat", "psi_hat", "b_hat", "elbo_trac
 WordshoalFit = namedtuple("WordshoalFit", ["x_hat", "debate_positions", "elbo_trace"])
 
 
-def _gaussian_state(sizes, rng, sigma_init=0.1, loc_scale=0.1):
-    families = {
-        name: GaussianFamily(
-            loc_scale * rng.standard_normal(n), np.full(n, math.log(sigma_init))
-        )
-        for name, n in sizes.items()
-    }
-    priors = {name: NormalPrior(1.0) for name in families}
-    return VariationalState(families, priors)
-
-
 def _fit_wordfish(counts, cfg, rng):
     model = WordfishModel(counts)
     num_authors, num_terms = counts.shape
-    state = _gaussian_state(
+    families = gaussian_families(
         {"alpha": num_authors, "psi": num_terms, "b": num_terms, "x": num_authors}, rng
     )
+    state = VariationalState(families, {name: NormalPrior(1.0) for name in families})
     trace = engine.fit(
         state,
         model,
@@ -244,7 +233,7 @@ def _stage2_init(positions):
     return a0, sign * scale, x0
 
 
-def train_wordshoal(dcorpus, cfg, threads=1):
+def train_wordshoal(dcorpus, cfg):
     """Per-debate wordfish fits combined by a one-factor analysis.
 
     Returns author positions, the stage-one position matrix (NaN where an
@@ -267,20 +256,11 @@ def train_wordshoal(dcorpus, cfg, threads=1):
     if too_small:
         raise DebateTooSmall(too_small)
 
-    def run(job):
-        j, counts, present = job
-        fit = _fit_wordfish(counts, cfg, np.random.default_rng([cfg.seed, j]))
-        return j, present, fit.x_hat
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
+    # Debate j's fit sees only its own counts and the [seed, j] stream.
     positions = np.full((corpus.num_authors, num_debates), np.nan)
-    for j, present, x_hat in sorted(results):
-        positions[present, j] = x_hat
+    for j, counts, present in jobs:
+        fit = _fit_wordfish(counts, cfg, np.random.default_rng([cfg.seed, j]))
+        positions[present, j] = fit.x_hat
 
     state, trace = fit_factor(positions, sweeps=max(cfg.max_steps // 10, 50))
     return WordshoalFit(state.x_mean.copy(), positions, trace)

@@ -160,48 +160,53 @@ def cmd_train(args):
     started = time.time()
     outdir = Path(args.output_dir)
 
+    def write_fit(arrays, dims, config, trace, inputs, **extra):
+        """Fit directory plus run manifest for one trained model."""
+        seed = config["seed"]
+        manifest = {"dims": dims, "config": config, "seed": seed, **extra}
+        fitio.save_fit_dir(outdir, arrays, manifest, trace)
+        final = trace[-1][1] if trace else None
+        write_manifest(outdir, f"train {args.model}", config, seed, inputs, started, final)
+        return EXIT_OK
+
     if args.model == "vote":
         votes = vote.load_votes_csv(_require_file(args.data))
         cfg = _train_config(args, votes.num_bills)
         fit = vote.train_vote(votes, cfg)
-        arrays = {"x": fit.x_hat, "alpha": fit.alpha_hat, "eta": fit.eta_hat}
-        manifest = {
-            "dims": {"num_lawmakers": votes.num_lawmakers, "num_bills": votes.num_bills},
-            "config": {"model": "vote", **cfg.asdict()},
-            "seed": cfg.seed,
-            "author_names": votes.lawmaker_names,
-        }
-        fitio.save_fit_dir(outdir, arrays, manifest, fit.elbo_trace)
-        final = fit.elbo_trace[-1][1]
-        write_manifest(outdir, "train vote", manifest["config"], cfg.seed,
-                       [args.data], started, final)
-        return EXIT_OK
+        return write_fit(
+            {"x": fit.x_hat, "alpha": fit.alpha_hat, "eta": fit.eta_hat},
+            {"num_lawmakers": votes.num_lawmakers, "num_bills": votes.num_bills},
+            {"model": "vote", **cfg.asdict()}, fit.elbo_trace, [args.data],
+            author_names=votes.lawmaker_names,
+        )
 
     built, vocab = corpus_mod.load_corpus(_require_file(args.data))
     cfg = _train_config(args)
 
     if args.model == "pf":
+        use_log = _resolve_log_counts(args.log_counts, built)
+        work = corpus_mod.log_transform(built) if use_log else built
         theta, beta = pf.pretrain(
-            built, args.k, sweeps=args.pretrain_sweeps, seed=args.seed
+            work, args.k, sweeps=args.pretrain_sweeps, seed=args.seed
         )
-        manifest = {
-            "dims": {"num_docs": built.num_docs, "num_topics": args.k,
-                     "num_terms": built.num_terms},
-            "config": {"model": "pf", "k": args.k, "sweeps": args.pretrain_sweeps,
-                       "seed": args.seed},
-            "seed": args.seed,
-        }
-        fitio.save_fit_dir(outdir, {"theta": theta, "beta": beta}, manifest, [])
-        write_manifest(outdir, "train pf", manifest["config"], args.seed,
-                       [args.data], started)
-        return EXIT_OK
+        return write_fit(
+            {"theta": theta, "beta": beta},
+            {"num_docs": built.num_docs, "num_topics": args.k, "num_terms": built.num_terms},
+            {"model": "pf", "k": args.k, "sweeps": args.pretrain_sweeps, "seed": args.seed,
+             "use_log_transform": use_log},
+            [], [args.data],
+        )
 
     if args.model == "tbip":
         use_log = _resolve_log_counts(args.log_counts, built)
         cfg = dataclasses.replace(cfg, use_log_transform=use_log)
         init = None
         if args.pretrain_dir:
-            arrays, _, _ = fitio.load_fit_dir(_require_file(args.pretrain_dir))
+            arrays, manifest, _ = fitio.load_fit_dir(_require_file(args.pretrain_dir))
+            # pf fits that predate the recorded transform always used raw counts.
+            if manifest.get("config", {}).get("use_log_transform", False) != use_log:
+                raise _CliError(EXIT_VALIDATION, f"{args.pretrain_dir} was pretrained "
+                                f"with a count transform other than use_log_transform={use_log}")
             init = (arrays["theta"], arrays["beta"])
         fit = tbip.train_tbip(built, cfg, init=init)
         tbip.save_fit(fit, outdir)
@@ -212,17 +217,12 @@ def cmd_train(args):
 
     if args.model == "wordfish":
         fit = baselines.train_wordfish(built, cfg)
-        arrays = {"x": fit.x_hat, "psi": fit.psi_hat, "b": fit.b_hat}
-        manifest = {
-            "dims": {"num_authors": built.num_authors, "num_terms": built.num_terms},
-            "config": {"model": "wordfish", **cfg.asdict()},
-            "seed": cfg.seed,
-            "author_names": built.author_names,
-        }
-        fitio.save_fit_dir(outdir, arrays, manifest, fit.elbo_trace)
-        write_manifest(outdir, "train wordfish", manifest["config"], cfg.seed,
-                       [args.data], started, fit.elbo_trace[-1][1])
-        return EXIT_OK
+        return write_fit(
+            {"x": fit.x_hat, "psi": fit.psi_hat, "b": fit.b_hat},
+            {"num_authors": built.num_authors, "num_terms": built.num_terms},
+            {"model": "wordfish", **cfg.asdict()}, fit.elbo_trace, [args.data],
+            author_names=built.author_names,
+        )
 
     # wordshoal
     if not args.debates:
@@ -241,19 +241,13 @@ def cmd_train(args):
         raise _CliError(EXIT_VALIDATION,
                         f"debate labels missing doc_index {exc.args[0]}") from None
     dcorpus = baselines.DebateLabeledCorpus.build(built, labels)
-    fit = baselines.train_wordshoal(dcorpus, cfg, threads=args.threads)
-    arrays = {"x": fit.x_hat, "debate_positions": fit.debate_positions}
-    manifest = {
-        "dims": {"num_authors": built.num_authors, "num_debates": dcorpus.num_debates},
-        "config": {"model": "wordshoal", **cfg.asdict()},
-        "seed": cfg.seed,
-        "author_names": built.author_names,
-        "debate_ids": dcorpus.debate_ids,
-    }
-    fitio.save_fit_dir(outdir, arrays, manifest, fit.elbo_trace)
-    write_manifest(outdir, "train wordshoal", manifest["config"], cfg.seed,
-                   [args.data, args.debates], started, fit.elbo_trace[-1][1])
-    return EXIT_OK
+    fit = baselines.train_wordshoal(dcorpus, cfg)
+    return write_fit(
+        {"x": fit.x_hat, "debate_positions": fit.debate_positions},
+        {"num_authors": built.num_authors, "num_debates": dcorpus.num_debates},
+        {"model": "wordshoal", **cfg.asdict()}, fit.elbo_trace, [args.data, args.debates],
+        author_names=built.author_names, debate_ids=dcorpus.debate_ids,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +440,6 @@ def build_parser():
     t.add_argument("--pretrain-sweeps", type=int, default=100)
     t.add_argument("--report-interval", type=int, default=100)
     t.add_argument("--debates", default=None, help="doc_index,debate_id CSV")
-    t.add_argument("--threads", type=int, default=1)
     t.set_defaults(func=cmd_train)
 
     a = sub.add_parser("analyze", help="post-fit reports")

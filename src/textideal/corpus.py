@@ -132,8 +132,22 @@ class SparseCorpus:
         return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data.copy()
 
     def dense_rows(self, doc_idx):
-        """Dense count rows for the given document indices."""
-        return np.asarray(self.counts[doc_idx].todense())
+        """Dense count rows for the given document indices.
+
+        Scatters the stored CSR entries directly: scipy's row fancy indexing
+        costs more than the whole likelihood on small batches.
+        """
+        doc_idx = np.asarray(doc_idx, dtype=np.int64)
+        c = self.counts
+        start = c.indptr[doc_idx]
+        length = c.indptr[doc_idx + 1] - start
+        rows = np.repeat(np.arange(doc_idx.size), length)
+        # Offset of each selected entry in c.data: its rank within the
+        # selection, shifted by where its row starts in the CSR arrays.
+        pos = np.arange(rows.size) + np.repeat(start - (np.cumsum(length) - length), length)
+        out = np.zeros((doc_idx.size, c.shape[1]))
+        out[rows, c.indices[pos]] = c.data[pos]
+        return out
 
     def doc_totals(self):
         """Total token count per document."""
@@ -312,13 +326,17 @@ def save_corpus(corpus, vocab, outdir):
             fh.write(term + "\n")
     with open(outdir / AUTHORS_FILE, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["doc_index", "author_name"])
+        writer.writerow(["doc_index", "author_name", "doc_id"])
         for d in range(corpus.num_docs):
-            writer.writerow([d, corpus.author_names[corpus.author_of[d]]])
+            writer.writerow([d, corpus.author_names[corpus.author_of[d]], corpus.doc_ids[d]])
 
 
 def load_corpus(indir):
-    """Load a (SparseCorpus, Vocabulary) pair written by `save_corpus`."""
+    """Load a (SparseCorpus, Vocabulary) pair written by `save_corpus`.
+
+    An authors file without the doc_id column gives the default ids doc{d}.
+    Raises ValueError on a counts file that repeats a (doc, term) pair.
+    """
     indir = Path(indir)
     terms = [
         line.rstrip("\n")
@@ -328,12 +346,15 @@ def load_corpus(indir):
     vocab = Vocabulary(terms)
 
     author_by_doc = {}
+    id_by_doc = {}
     with open(indir / AUTHORS_FILE, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row or row[0] == "doc_index":
                 continue
             author_by_doc[int(row[0])] = row[1]
+            if len(row) > 2:
+                id_by_doc[int(row[0])] = row[2]
     if not author_by_doc:
         raise ValueError(f"{indir / AUTHORS_FILE} lists no documents")
     num_docs = max(author_by_doc) + 1
@@ -358,7 +379,11 @@ def load_corpus(indir):
     counts = sp.csr_matrix(
         (vals, (rows, cols)), shape=(num_docs, len(vocab)), dtype=np.float64
     )
-    return SparseCorpus(counts, author_of, author_names), vocab
+    # Building the CSR matrix sums repeated (doc, term) lines into one entry.
+    if counts.nnz != len(vals):
+        raise ValueError(f"{indir / COUNTS_FILE} repeats a (doc, term) pair")
+    doc_ids = [id_by_doc.get(d, f"doc{d}") for d in range(num_docs)]
+    return SparseCorpus(counts, author_of, author_names, doc_ids), vocab
 
 
 def save_weights(path, author_names, weights):

@@ -1,13 +1,13 @@
 """Reparameterized variational inference engine.
 
-Mean-field states mix Gaussian factors (real latents) and lognormal factors
-(positive latents), both parameterized by a location and an unconstrained
-log-scale. A single noise draw z per factor gives the sample
+Every mean-field factor is one `Family`: Gaussian in unconstrained space,
+with a location mu and a log-scale log_sigma. A single noise draw z per
+factor gives
 
-    Gaussian:   s = mu + sigma * z
-    lognormal:  s = exp(mu + sigma * z),   sigma = exp(log_sigma)
+    u = mu + sigma * z,   sigma = exp(log_sigma),
 
-and the single-draw objective estimate
+and the sample s = u for real latents, or s = exp(u) for positive ones
+(`positive=True`, a lognormal factor). The single-draw objective estimate is
 
     elbo(z) = log p(s) + (N / |batch|) * loglik(batch | s) - log q(s).
 
@@ -41,14 +41,17 @@ class NonFiniteElbo(Exception):
 # ---------------------------------------------------------------------------
 
 
-class GaussianFamily:
-    """Elementwise Gaussian factors N(mu, exp(log_sigma)^2)."""
+class Family:
+    """Elementwise mean-field factors, Gaussian in unconstrained space.
 
-    positive = False
+    u = mu + sigma * z with sigma = exp(log_sigma); the sample is u itself,
+    or exp(u) (a lognormal factor) when `positive`.
+    """
 
-    def __init__(self, mu, log_sigma):
+    def __init__(self, mu, log_sigma, positive=False):
         self.mu = np.asarray(mu, dtype=np.float64)
         self.log_sigma = np.asarray(log_sigma, dtype=np.float64)
+        self.positive = bool(positive)
         if self.mu.shape != self.log_sigma.shape:
             raise ValueError("mu and log_sigma must have identical shapes")
 
@@ -57,79 +60,62 @@ class GaussianFamily:
         return np.exp(self.log_sigma)
 
     def sample(self, z):
+        """Deterministic transform of standard noise into a factor sample."""
         z = np.asarray(z)
         if z.shape != self.mu.shape:
             raise ValueError(f"noise shape {z.shape} != parameter shape {self.mu.shape}")
-        return self.mu + self.sigma * z
+        u = self.mu + self.sigma * z
+        return np.exp(u) if self.positive else u
 
     def sample_partials(self, z, s):
         """(d s / d mu, d s / d log_sigma) at the reparameterized sample."""
+        if self.positive:
+            return s, s * z * self.sigma
         return np.ones_like(self.mu), z * self.sigma
 
     def log_density(self, s):
-        t = (s - self.mu) / self.sigma
-        return float(np.sum(-0.5 * LOG_2PI - self.log_sigma - 0.5 * t * t))
-
-    def log_density_reparam(self, z):
-        """log q at the reparameterized sample; (s - mu)/sigma collapses to z."""
-        return float(np.sum(-0.5 * LOG_2PI - self.log_sigma - 0.5 * z * z))
-
-    def log_density_grads(self, z):
-        """Total d log q(s(phi, z)) / d phi with z fixed: (d mu, d log_sigma)."""
-        return np.zeros_like(self.mu), -np.ones_like(self.log_sigma)
-
-    def posterior_mean(self):
-        return self.mu.copy()
-
-
-class LogNormalFamily:
-    """Elementwise lognormal factors: exp of a Gaussian in log space."""
-
-    positive = True
-
-    def __init__(self, mu, log_sigma):
-        self.mu = np.asarray(mu, dtype=np.float64)
-        self.log_sigma = np.asarray(log_sigma, dtype=np.float64)
-        if self.mu.shape != self.log_sigma.shape:
-            raise ValueError("mu and log_sigma must have identical shapes")
-
-    @property
-    def sigma(self):
-        return np.exp(self.log_sigma)
-
-    def sample(self, z):
-        z = np.asarray(z)
-        if z.shape != self.mu.shape:
-            raise ValueError(f"noise shape {z.shape} != parameter shape {self.mu.shape}")
-        return np.exp(self.mu + self.sigma * z)
-
-    def sample_partials(self, z, s):
-        return s, s * z * self.sigma
-
-    def log_density(self, s):
+        base = -0.5 * LOG_2PI - self.log_sigma
+        if not self.positive:
+            t = (s - self.mu) / self.sigma
+            return float(np.sum(base - 0.5 * t * t))
         if np.any(s <= 0):
             raise ValueError("lognormal density evaluated at a nonpositive point")
         ls = np.log(s)
         t = (ls - self.mu) / self.sigma
         # -log(s) is the Jacobian of the log transform.
-        return float(np.sum(-0.5 * LOG_2PI - self.log_sigma - ls - 0.5 * t * t))
+        return float(np.sum(base - ls - 0.5 * t * t))
 
     def log_density_reparam(self, z):
-        return float(
-            np.sum(
-                -0.5 * LOG_2PI
-                - self.log_sigma
-                - (self.mu + self.sigma * z)
-                - 0.5 * z * z
-            )
-        )
+        """log q at the reparameterized sample; (u - mu)/sigma collapses to z."""
+        base = -0.5 * LOG_2PI - self.log_sigma
+        if self.positive:
+            base = base - (self.mu + self.sigma * z)
+        return float(np.sum(base - 0.5 * z * z))
 
     def log_density_grads(self, z):
-        # log q(s(z)) = -log_sigma - (mu + sigma z) - z^2/2 - log(2 pi)/2
-        return -np.ones_like(self.mu), -1.0 - z * self.sigma
+        """Total d log q(s(phi, z)) / d phi with z fixed: (d mu, d log_sigma)."""
+        if self.positive:
+            # log q(s(z)) = -log_sigma - (mu + sigma z) - z^2/2 - log(2 pi)/2
+            return -np.ones_like(self.mu), -1.0 - z * self.sigma
+        return np.zeros_like(self.mu), -np.ones_like(self.log_sigma)
 
     def posterior_mean(self):
-        return np.exp(self.mu + 0.5 * self.sigma**2)
+        if self.positive:
+            return np.exp(self.mu + 0.5 * self.sigma**2)
+        return self.mu.copy()
+
+
+def gaussian_families(shapes, rng):
+    """Real-valued factors initialized as in every training recipe here:
+    locations 0.1 * N(0, 1) and scales 0.1.
+
+    Locations are drawn from `rng` in the order of `shapes` (name -> array
+    shape), so the order fixes the random stream.
+    """
+    return {
+        name: Family(0.1 * rng.standard_normal(shape), np.full(shape, math.log(0.1)))
+        for name, shape in shapes.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +202,6 @@ class VariationalState:
 
     def posterior_means(self):
         return {name: fam.posterior_mean() for name, fam in self.families.items()}
-
-
-def reparameterize(family, z):
-    """Deterministic transform of standard noise into a family sample."""
-    return family.sample(z)
 
 
 def entropy_and_prior(state, samples):

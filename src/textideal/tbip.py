@@ -24,11 +24,11 @@ from . import engine, fitio, pf
 from .corpus import compute_weights, log_transform
 from .engine import (
     AdamState,
+    Family,
     GammaPrior,
-    GaussianFamily,
-    LogNormalFamily,
     NormalPrior,
     VariationalState,
+    gaussian_families,
 )
 
 
@@ -187,24 +187,17 @@ class TBIPModel:
         return value, grads
 
 
-def make_state(corpus, k, theta_init, beta_init, priors, rng, sigma_init=0.1, loc_scale=0.1):
+def make_state(corpus, k, theta_init, beta_init, priors, rng):
     """Variational state per the training recipe: locations of the positive
-    latents start at the log pretrained estimates, the rest at small random
-    values, and every scale starts at `sigma_init`."""
+    latents start at the log pretrained estimates, those of the real ones
+    at small random values, and every scale starts at 0.1."""
     num_docs, num_terms = corpus.num_docs, corpus.num_terms
-    num_authors = corpus.num_authors
-    log_sig = np.log(sigma_init)
+    log_sig = np.log(0.1)
     families = {
-        "theta": LogNormalFamily(np.log(theta_init), np.full((num_docs, k), log_sig)),
-        "beta": LogNormalFamily(np.log(beta_init), np.full((k, num_terms), log_sig)),
-        "eta": GaussianFamily(
-            loc_scale * rng.standard_normal((k, num_terms)),
-            np.full((k, num_terms), log_sig),
-        ),
-        "x": GaussianFamily(
-            loc_scale * rng.standard_normal(num_authors),
-            np.full(num_authors, log_sig),
-        ),
+        "theta": Family(np.log(theta_init), np.full((num_docs, k), log_sig), positive=True),
+        "beta": Family(np.log(beta_init), np.full((k, num_terms), log_sig), positive=True),
+        # The factor order theta, beta, eta, x is the order `sample_noise` draws in.
+        **gaussian_families({"eta": (k, num_terms), "x": corpus.num_authors}, rng),
     }
     prior_map = {
         "theta": GammaPrior(priors.a, priors.b),

@@ -14,7 +14,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import engine
-from .engine import AdamState, GaussianFamily, NormalPrior, VariationalState
+from .engine import AdamState, NormalPrior, VariationalState, gaussian_families
 
 
 def sigmoid(t):
@@ -107,13 +107,10 @@ class VoteModel:
 VoteFit = namedtuple("VoteFit", ["x_hat", "alpha_hat", "eta_hat", "elbo_trace"])
 
 
-def make_state(num_lawmakers, num_bills, rng, sigma_init=0.1, loc_scale=0.1):
-    def fam(n):
-        return GaussianFamily(
-            loc_scale * rng.standard_normal(n), np.full(n, np.log(sigma_init))
-        )
-
-    families = {"x": fam(num_lawmakers), "alpha": fam(num_bills), "eta": fam(num_bills)}
+def make_state(num_lawmakers, num_bills, rng):
+    families = gaussian_families(
+        {"x": num_lawmakers, "alpha": num_bills, "eta": num_bills}, rng
+    )
     priors = {name: NormalPrior(1.0) for name in families}
     return VariationalState(families, priors)
 

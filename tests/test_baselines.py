@@ -6,6 +6,7 @@ from textideal.baselines import (
     DebateLabeledCorpus,
     DebateTooSmall,
     WordfishModel,
+    _fit_wordfish,
     aggregate_by_author,
     fit_factor,
     train_wordfish,
@@ -160,16 +161,20 @@ class TestWordshoal:
         assert abs(np.corrcoef(st1.x_mean, st2.x_mean)[0, 1]) >= 0.99
 
     def test_stage_one_order_independent(self):
+        """Debate j's stage-one column equals a standalone wordfish fit of its
+        own pooled active-term counts on the [seed, j] stream, so it depends
+        on nothing else; the standalone fits run in reverse order."""
         corpus, labels, _ = wordshoal_corpus(12, 4, 60, seed=8)
         d = DebateLabeledCorpus.build(corpus, labels)
         cfg = TrainConfig(max_steps=400, seed=2, lr=0.02, elbo_report_interval=400)
-        serial = train_wordshoal(d, cfg, threads=1)
-        threaded = train_wordshoal(d, cfg, threads=3)
-        assert np.array_equal(
-            np.nan_to_num(serial.debate_positions),
-            np.nan_to_num(threaded.debate_positions),
-        )
-        assert np.array_equal(serial.x_hat, threaded.x_hat)
+        fit = train_wordshoal(d, cfg)
+        for j in reversed(range(d.num_debates)):
+            counts, present = aggregate_by_author(d.corpus, np.flatnonzero(d.debate_of == j))
+            active = counts[:, counts.sum(axis=0) > 0]
+            alone = _fit_wordfish(active, cfg, np.random.default_rng([cfg.seed, j]))
+            assert np.array_equal(fit.debate_positions[present, j], alone.x_hat)
+            absent = np.setdiff1d(np.arange(d.corpus.num_authors), present)
+            assert np.all(np.isnan(fit.debate_positions[absent, j]))
 
     def test_too_few_terms_raises_with_labels(self):
         # two authors share a single term in the tiny debate

@@ -131,9 +131,24 @@ class TestTrain:
         ws = tmp_path / "ws"
         rc = run(["train", "wordshoal", "--data", synth_corpus_dir,
                   "--output-dir", ws, "--steps", "200", "--seed", "0",
-                  "--debates", labels, "--threads", "2"])
+                  "--debates", labels])
         assert rc == 0
         assert (ws / "debate_positions.bin").exists()
+
+    def test_pf_transform_mismatch_exits_2(self, synth_corpus_dir, tmp_path):
+        pfdir = tmp_path / "pf"
+        assert run(["train", "pf", "--data", synth_corpus_dir, "--output-dir",
+                    pfdir, "--k", "2", "--pretrain-sweeps", "5", "--seed", "2",
+                    "--log-counts", "on"]) == 0
+        manifest = json.loads((pfdir / "manifest.json").read_text())
+        assert manifest["config"]["use_log_transform"] is True
+        out = tmp_path / "warm"
+        rc = run(["train", "tbip", "--data", synth_corpus_dir, "--output-dir",
+                  out, "--k", "2", "--batch", "64", "--steps", "10",
+                  "--seed", "2", "--log-counts", "off",
+                  "--pretrain-dir", pfdir])
+        assert rc == 2
+        assert not (out / "run_manifest.json").exists()
 
     def test_wordshoal_without_labels_exits_2(self, synth_corpus_dir, tmp_path):
         rc = run(["train", "wordshoal", "--data", synth_corpus_dir,
@@ -191,6 +206,28 @@ class TestAnalyze:
         doc = json.loads((out / "influence.json").read_text())
         assert set(doc) == {"doc_id", "ratio_vs_zero", "ratio_vs_max",
                             "ratio_vs_min"}
+
+    def test_influence_reports_input_document_id(self, tmp_path):
+        docs = tmp_path / "docs.jsonl"
+        words = ["guns", "taxes", "schools", "farms", "roads", "health"]
+        lines = []
+        for i in range(40):
+            text = " ".join(words[(i + j) % len(words)] for j in range(4 + i % 3))
+            lines.append(json.dumps({"id": f"speech-{i:03d}",
+                                     "author": f"sen{i % 4}", "text": text}))
+        docs.write_text("\n".join(lines), encoding="utf-8")
+        data, fit = tmp_path / "corpus", tmp_path / "fit"
+        assert run(["preprocess", "--input", docs, "--output-dir", data,
+                    "--min-df", 0.0, "--max-df", 1.0, "--min-authors", 2,
+                    "--ngrams", 1]) == 0
+        assert run(["train", "tbip", "--data", data, "--output-dir", fit,
+                    "--k", "2", "--batch", "64", "--steps", "5", "--seed", "0",
+                    "--log-counts", "off", "--pretrain-sweeps", "3"]) == 0
+        out = tmp_path / "inf"
+        assert run(["analyze", "influence", "--fit", fit, "--data", data,
+                    "--output-dir", out, "--doc", "3"]) == 0
+        doc = json.loads((out / "influence.json").read_text())
+        assert doc["doc_id"] == "speech-003"
 
     def test_influence_bad_doc_exits_2(self, tbip_fit_dir, synth_corpus_dir, tmp_path):
         rc = run(["analyze", "influence", "--fit", tbip_fit_dir, "--data",

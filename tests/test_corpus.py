@@ -1,8 +1,10 @@
 import math
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from textideal.corpus import (
     AllDocumentsFiltered,
@@ -209,7 +211,8 @@ class TestFileFormats:
 
     def test_corpus_round_trip(self, tmp_path):
         dense = [[2, 0, 1], [0, 3, 0], [1, 1, 1]]
-        corpus = _corpus_from_dense(dense, [0, 1, 0], ["alice", "bob"])
+        corpus = SparseCorpus(sp.csr_matrix(np.asarray(dense, dtype=float)), [0, 1, 0],
+                              ["alice", "bob"], doc_ids=["s1", "speech, 2", "s3"])
         vocab = Vocabulary(["apple", "banana", "cherry"])
         save_corpus(corpus, vocab, tmp_path)
         loaded, vocab2 = load_corpus(tmp_path)
@@ -217,6 +220,25 @@ class TestFileFormats:
         assert np.array_equal(loaded.counts.toarray(), dense)
         assert loaded.author_names == ["alice", "bob"]
         assert np.array_equal(loaded.author_of, corpus.author_of)
+        assert loaded.doc_ids == ["s1", "speech, 2", "s3"]
+
+    def test_two_column_authors_file_gets_default_ids(self, tmp_path):
+        (tmp_path / "vocabulary.txt").write_text("a\nb\n", encoding="utf-8")
+        (tmp_path / "authors.csv").write_text(
+            "doc_index,author_name\n0,alice\n1,bob\n", encoding="utf-8")
+        (tmp_path / "counts.txt").write_text("0 0 2\n1 1 1\n", encoding="utf-8")
+        loaded, _ = load_corpus(tmp_path)
+        assert loaded.doc_ids == ["doc0", "doc1"]
+        assert loaded.author_names == ["alice", "bob"]
+
+    def test_duplicate_count_lines_rejected(self, tmp_path):
+        (tmp_path / "vocabulary.txt").write_text("a\nb\n", encoding="utf-8")
+        (tmp_path / "authors.csv").write_text(
+            "doc_index,author_name,doc_id\n0,alice,d0\n", encoding="utf-8")
+        (tmp_path / "counts.txt").write_text("0 0 2\n0 1 1\n0 0 3\n",
+                                             encoding="utf-8")
+        with pytest.raises(ValueError, match="counts.txt"):
+            load_corpus(tmp_path)
 
     def test_weights_round_trip(self, tmp_path):
         path = tmp_path / "weights.csv"
@@ -224,6 +246,54 @@ class TestFileFormats:
         names, w = load_weights(path)
         assert names == ["a", "b"]
         assert np.array_equal(w, [0.5, 1.5])
+
+
+_labels = st.text(max_size=6)
+
+
+@st.composite
+def _small_corpora(draw):
+    num_authors = draw(st.integers(1, 4))
+    author_names = sorted(draw(st.sets(_labels, min_size=num_authors,
+                                       max_size=num_authors)))
+    num_docs = draw(st.integers(num_authors, 8))
+    # Every author keeps a document: load_corpus lists the authors it sees.
+    extra = draw(st.lists(st.integers(0, num_authors - 1),
+                          min_size=num_docs - num_authors,
+                          max_size=num_docs - num_authors))
+    author_of = draw(st.permutations(list(range(num_authors)) + extra))
+    num_terms = draw(st.integers(1, 5))
+    dense = draw(st.lists(st.lists(st.integers(0, 30), min_size=num_terms,
+                                   max_size=num_terms),
+                          min_size=num_docs, max_size=num_docs))
+    doc_ids = draw(st.lists(_labels, min_size=num_docs, max_size=num_docs))
+    corpus = SparseCorpus(sp.csr_matrix(np.array(dense, dtype=float)), author_of,
+                          author_names, doc_ids=doc_ids)
+    return corpus, Vocabulary([f"t{v}" for v in range(num_terms)])
+
+
+class TestCorpusProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_small_corpora(), st.data())
+    def test_dense_rows_match_scipy_row_indexing(self, pair, data):
+        corpus, _ = pair
+        idx = data.draw(st.lists(st.integers(0, corpus.num_docs - 1), max_size=10))
+        expected = corpus.counts[idx].toarray()
+        assert np.array_equal(corpus.dense_rows(idx), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_corpora())
+    def test_save_load_round_trip(self, pair):
+        corpus, vocab = pair
+        with tempfile.TemporaryDirectory() as tmp:
+            save_corpus(corpus, vocab, tmp)
+            loaded, vocab2 = load_corpus(tmp)
+        assert vocab2 == vocab
+        assert loaded.counts.shape == corpus.counts.shape
+        assert np.array_equal(loaded.counts.toarray(), corpus.counts.toarray())
+        assert np.array_equal(loaded.author_of, corpus.author_of)
+        assert loaded.author_names == corpus.author_names
+        assert loaded.doc_ids == corpus.doc_ids
 
 
 class TestSparseCorpusValidation:

@@ -7,9 +7,8 @@ from _oracles import quadrature_elbo
 from textideal import engine
 from textideal.engine import (
     AdamState,
+    Family,
     GammaPrior,
-    GaussianFamily,
-    LogNormalFamily,
     NormalPrior,
     VariationalState,
     adam_step,
@@ -17,7 +16,6 @@ from textideal.engine import (
     entropy_and_prior,
     finite_difference,
     gradient,
-    reparameterize,
 )
 
 LOG_2PI = math.log(2 * math.pi)
@@ -25,25 +23,25 @@ LOG_2PI = math.log(2 * math.pi)
 
 class TestReparameterize:
     def test_gaussian_identity_case(self):
-        fam = GaussianFamily(np.zeros(3), np.zeros(3))
-        assert np.array_equal(reparameterize(fam, np.zeros(3)), np.zeros(3))
+        fam = Family(np.zeros(3), np.zeros(3))
+        assert np.array_equal(fam.sample(np.zeros(3)), np.zeros(3))
 
     def test_lognormal_at_zero_noise(self):
-        fam = LogNormalFamily(np.zeros(2), np.zeros(2))
-        assert np.array_equal(reparameterize(fam, np.zeros(2)), np.ones(2))
+        fam = Family(np.zeros(2), np.zeros(2), positive=True)
+        assert np.array_equal(fam.sample(np.zeros(2)), np.ones(2))
 
     def test_gaussian_affine(self):
-        fam = GaussianFamily(np.array([2.0]), np.log(np.array([0.5])))
-        assert np.allclose(reparameterize(fam, np.array([2.0])), [3.0])
+        fam = Family(np.array([2.0]), np.log(np.array([0.5])))
+        assert np.allclose(fam.sample(np.array([2.0])), [3.0])
 
     def test_shape_mismatch_raises(self):
-        fam = GaussianFamily(np.zeros(3), np.zeros(3))
+        fam = Family(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             fam.sample(np.zeros(4))
 
     def test_deterministic_given_noise(self):
         rng = np.random.default_rng(0)
-        fam = LogNormalFamily(rng.standard_normal(5), rng.standard_normal(5))
+        fam = Family(rng.standard_normal(5), rng.standard_normal(5), positive=True)
         z = rng.standard_normal(5)
         assert np.array_equal(fam.sample(z), fam.sample(z))
 
@@ -61,7 +59,7 @@ class _NullModel:
 class TestEntropyAndPrior:
     def test_standard_normal_at_zero(self):
         state = VariationalState(
-            {"x": GaussianFamily(np.zeros(1), np.zeros(1))},
+            {"x": Family(np.zeros(1), np.zeros(1))},
             {"x": NormalPrior(1.0)},
         )
         log_prior, _ = entropy_and_prior(state, {"x": np.zeros(1)})
@@ -72,20 +70,20 @@ class TestEntropyAndPrior:
         assert np.isclose(prior.log_prob(np.ones(1)), -1.0)
 
     def test_lognormal_logq_at_one(self):
-        fam = LogNormalFamily(np.zeros(1), np.zeros(1))
+        fam = Family(np.zeros(1), np.zeros(1), positive=True)
         assert np.isclose(fam.log_density(np.ones(1)), -0.5 * LOG_2PI)
 
     def test_nonpositive_sample_rejected(self):
         with pytest.raises(ValueError):
             GammaPrior(0.3, 0.3).log_prob(np.array([-0.1]))
         with pytest.raises(ValueError):
-            LogNormalFamily(np.zeros(1), np.zeros(1)).log_density(np.zeros(1))
+            Family(np.zeros(1), np.zeros(1), positive=True).log_density(np.zeros(1))
 
     def test_density_matches_reparameterized_form(self):
         rng = np.random.default_rng(3)
         for fam in (
-            GaussianFamily(rng.standard_normal(4), 0.3 * rng.standard_normal(4)),
-            LogNormalFamily(rng.standard_normal(4), 0.3 * rng.standard_normal(4)),
+            Family(rng.standard_normal(4), 0.3 * rng.standard_normal(4)),
+            Family(rng.standard_normal(4), 0.3 * rng.standard_normal(4), positive=True),
         ):
             z = rng.standard_normal(4)
             s = fam.sample(z)
@@ -135,7 +133,7 @@ class TestElboEstimate:
 
     def test_zero_when_q_equals_prior_and_no_data(self):
         state = VariationalState(
-            {"x": GaussianFamily(np.zeros(4), np.zeros(4))},
+            {"x": Family(np.zeros(4), np.zeros(4))},
             {"x": NormalPrior(1.0)},
         )
         rng = np.random.default_rng(2)
@@ -272,7 +270,7 @@ class TestElboUnbiasedness:
 class TestFitLoop:
     def test_nonfinite_objective_raises_with_step(self):
         state = VariationalState(
-            {"x": GaussianFamily(np.array([800.0]), np.zeros(1))},
+            {"x": Family(np.array([800.0]), np.zeros(1))},
             {"x": NormalPrior(1.0)},
         )
 
