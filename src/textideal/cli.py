@@ -270,7 +270,7 @@ def cmd_analyze(args):
 
     if args.report == "topics":
         fit = tbip.load_fit(_require_file(args.fit))
-        _, vocab = corpus_mod.load_corpus(_require_file(args.data))
+        vocab = corpus_mod.load_vocabulary(_require_file(args.data))
         if fit.beta_hat.shape[1] != len(vocab):
             raise _CliError(EXIT_VALIDATION,
                             "fit vocabulary size does not match the corpus")

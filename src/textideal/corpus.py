@@ -9,6 +9,7 @@ transform used for long-document corpora.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -331,19 +332,42 @@ def save_corpus(corpus, vocab, outdir):
             writer.writerow([d, corpus.author_names[corpus.author_of[d]], corpus.doc_ids[d]])
 
 
+def load_vocabulary(indir):
+    """Read the Vocabulary written by `save_corpus` under `indir`."""
+    with open(Path(indir) / VOCAB_FILE, encoding="utf-8") as fh:
+        return Vocabulary(line.rstrip("\n") for line in fh if line.rstrip("\n"))
+
+
+_COUNTS_DTYPE = np.dtype([("doc", np.int64), ("term", np.int64), ("count", np.float64)])
+
+
+def _read_counts(path):
+    """(doc, term, count) arrays from a counts file; blank lines are skipped.
+
+    Raises ValueError naming the file on a line that is not exactly two
+    integer indices and a number.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    if not text or text.isspace():
+        # loadtxt warns on input without data; an empty corpus is valid.
+        table = np.empty(0, dtype=_COUNTS_DTYPE)
+    else:
+        try:
+            table = np.loadtxt(io.StringIO(text), dtype=_COUNTS_DTYPE, comments=None, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return table["doc"], table["term"], table["count"]
+
+
 def load_corpus(indir):
     """Load a (SparseCorpus, Vocabulary) pair written by `save_corpus`.
 
     An authors file without the doc_id column gives the default ids doc{d}.
-    Raises ValueError on a counts file that repeats a (doc, term) pair.
+    Raises ValueError on a malformed counts line or a counts file that
+    repeats a (doc, term) pair.
     """
     indir = Path(indir)
-    terms = [
-        line.rstrip("\n")
-        for line in open(indir / VOCAB_FILE, encoding="utf-8")
-        if line.rstrip("\n")
-    ]
-    vocab = Vocabulary(terms)
+    vocab = load_vocabulary(indir)
 
     author_by_doc = {}
     id_by_doc = {}
@@ -366,16 +390,7 @@ def load_corpus(indir):
         [author_index[author_by_doc[d]] for d in range(num_docs)], dtype=np.int64
     )
 
-    rows, cols, vals = [], [], []
-    with open(indir / COUNTS_FILE, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            d, v, c = int(parts[0]), int(parts[1]), float(parts[2])
-            rows.append(d)
-            cols.append(v)
-            vals.append(c)
+    rows, cols, vals = _read_counts(indir / COUNTS_FILE)
     counts = sp.csr_matrix(
         (vals, (rows, cols)), shape=(num_docs, len(vocab)), dtype=np.float64
     )

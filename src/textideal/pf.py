@@ -11,14 +11,21 @@ closed-form sweeps:
 phi only needs evaluating on the stored nonzeros. Each sweep can only
 increase the augmented-model objective, which `pf_elbo` evaluates with phi
 at its closed-form optimum. Used to initialize the text ideal point model.
+
+The nonzero scores E[log theta_dk] + E[log beta_kv] are the costly part of
+both passes. They are computed once per `PFState`, together with phi and
+the per-nonzero log normalizer, so `pf_elbo(state)` and the following
+`cavi_step(state)` share one evaluation. The sweep sums y * phi into its
+Gamma shapes with two sparse products instead of one bincount per topic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, gammaln, logsumexp
+import scipy.sparse as sp
+from scipy.special import digamma, gammaln
 
 
 @dataclass
@@ -45,12 +52,35 @@ class GammaFamily:
 
 @dataclass
 class PFState:
-    """Variational Gamma factors for intensities (D x K) and topics (K x V)."""
+    """Variational Gamma factors for intensities (D x K) and topics (K x V).
+
+    A state is never modified in place: its expected logs and nonzero
+    scores are cached on first use.
+    """
 
     q_theta: GammaFamily
     q_beta: GammaFamily
     prior_shape: float
     prior_rate: float
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def expected_logs(self):
+        """(E[log theta] as D x K, E[log beta] as K x V)."""
+        if "elogs" not in self._cache:
+            self._cache["elogs"] = (self.q_theta.expected_log(), self.q_beta.expected_log())
+        return self._cache["elogs"]
+
+    def nonzero_scores(self, corpus):
+        """(phi, log_norm) over the stored nonzeros of `corpus`.
+
+        phi is nnz x K with rows summing to 1; log_norm is the log-sum-exp
+        of each row's scores.
+        """
+        cached = self._cache.get("scores")
+        if cached is None or cached[0] is not corpus:
+            cached = (corpus, *_scores(*self.expected_logs(), corpus))
+            self._cache["scores"] = cached
+        return cached[1:]
 
 
 def init_state(num_docs, num_terms, num_topics, a, b, rng):
@@ -66,46 +96,58 @@ def init_state(num_docs, num_terms, num_topics, a, b, rng):
     return PFState(q_theta, q_beta, float(a), float(b))
 
 
-def _phi(state, rows, cols):
-    """Responsibilities over topics for each stored nonzero, rows sum to 1."""
-    scores = state.q_theta.expected_log()[rows] + state.q_beta.expected_log().T[cols]
-    scores -= scores.max(axis=1, keepdims=True)
-    phi = np.exp(scores)
+def _scores(elog_theta, elog_beta, corpus):
+    rows, cols, _ = corpus.entries()
+    # Gathering rows of a contiguous V x K copy beats gathering columns of K x V.
+    shifted = np.take(elog_theta, rows, axis=0)
+    shifted += np.take(np.ascontiguousarray(elog_beta.T), cols, axis=0)
+    top = shifted.max(axis=1, keepdims=True)
+    shifted -= top
+    # log_norm follows scipy's logsumexp step for step, so `pf_elbo` keeps
+    # its values bit for bit: the maximal entries are split out and the
+    # rest summed through log1p.
+    tied = shifted == 0.0
+    phi = np.exp(shifted, out=shifted)
+    rest = np.where(tied, 0.0, phi).sum(axis=1, keepdims=True)
+    ties = tied.sum(axis=1, keepdims=True, dtype=np.float64)
+    rest = np.where(rest == 0, rest, rest / ties)
+    log_norm = (np.log1p(rest) + np.log(ties) + top).ravel()
     phi /= phi.sum(axis=1, keepdims=True)
-    return phi
+    return phi, log_norm
 
 
 def cavi_step(state, corpus):
     """One full coordinate sweep; returns a new PFState."""
-    rows, cols, y = corpus.entries()
+    _, cols, y = corpus.entries()
     num_docs, num_terms = corpus.counts.shape
-    num_topics = state.q_theta.shape.shape[1]
     a, b = state.prior_shape, state.prior_rate
 
-    phi = _phi(state, rows, cols)
-    weighted = y[:, None] * phi
+    phi, _ = state.nonzero_scores(corpus)
+    # Doc x nnz and term x nnz operators carrying y: each output cell sums
+    # y * phi over its nonzeros in storage order, as a bincount would.
+    nnz = np.arange(y.size)
+    by_doc = sp.csr_matrix((y, nnz, corpus.counts.indptr), shape=(num_docs, y.size))
+    by_term = sp.csr_matrix((y, (cols, nnz)), shape=(num_terms, y.size))
 
-    theta_shape = np.empty((num_docs, num_topics))
-    for k in range(num_topics):
-        theta_shape[:, k] = a + np.bincount(rows, weights=weighted[:, k], minlength=num_docs)
+    theta_shape = a + by_doc @ phi
     theta_rate = np.broadcast_to(
-        b + state.q_beta.mean().sum(axis=1), (num_docs, num_topics)
+        b + state.q_beta.mean().sum(axis=1), theta_shape.shape
     ).copy()
     q_theta = GammaFamily(theta_shape, theta_rate)
 
-    beta_shape = np.empty((num_topics, num_terms))
-    for k in range(num_topics):
-        beta_shape[k] = a + np.bincount(cols, weights=weighted[:, k], minlength=num_terms)
+    # C order like every other factor array: sums along an axis round
+    # differently over a transposed view.
+    beta_shape = a + np.ascontiguousarray((by_term @ phi).T)
     beta_rate = np.broadcast_to(
-        (b + q_theta.mean().sum(axis=0))[:, None], (num_topics, num_terms)
+        (b + q_theta.mean().sum(axis=0))[:, None], beta_shape.shape
     ).copy()
     q_beta = GammaFamily(beta_shape, beta_rate)
     return PFState(q_theta, q_beta, a, b)
 
 
-def _gamma_prior_entropy(fam, a, b):
-    """E_q[log p] + H(q) summed over one block of Gamma factors."""
-    elog = fam.expected_log()
+def _gamma_prior_entropy(fam, elog, a, b):
+    """E_q[log p] + H(q) summed over one block of Gamma factors, given
+    elog = fam.expected_log()."""
     prior = np.sum(a * np.log(b) - gammaln(a) + (a - 1.0) * elog - b * fam.mean())
     entropy = np.sum(
         fam.shape
@@ -118,19 +160,18 @@ def _gamma_prior_entropy(fam, a, b):
 
 def pf_elbo(state, corpus):
     """Augmented-model objective with responsibilities at their optimum."""
-    rows, cols, y = corpus.entries()
+    _, _, y = corpus.entries()
     a, b = state.prior_shape, state.prior_rate
-    value = _gamma_prior_entropy(state.q_theta, a, b)
-    value += _gamma_prior_entropy(state.q_beta, a, b)
+    elog_theta, elog_beta = state.expected_logs()
+    value = _gamma_prior_entropy(state.q_theta, elog_theta, a, b)
+    value += _gamma_prior_entropy(state.q_beta, elog_beta, a, b)
     # Expected rate over all cells factorizes across topics.
     value -= float(
         state.q_theta.mean().sum(axis=0) @ state.q_beta.mean().sum(axis=1)
     )
     if len(y):
-        scores = (
-            state.q_theta.expected_log()[rows] + state.q_beta.expected_log().T[cols]
-        )
-        value += float(np.sum(y * logsumexp(scores, axis=1)) - np.sum(gammaln(y + 1.0)))
+        _, log_norm = state.nonzero_scores(corpus)
+        value += float(np.sum(y * log_norm) - np.sum(gammaln(y + 1.0)))
     return value
 
 

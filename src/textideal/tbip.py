@@ -153,38 +153,50 @@ class TBIPModel:
         beta = samples["beta"]
         eta = samples["eta"]
         x = samples["x"]
-        author_of = self.corpus.author_of
+
+        # One stable sort groups the batch by author and keeps batch order
+        # within each group; one call fetches every dense count row.
+        doc_idx = np.asarray(doc_idx)
+        docs_sorted = doc_idx[np.argsort(self.corpus.author_of[doc_idx], kind="stable")]
+        authors, starts = np.unique(self.corpus.author_of[docs_sorted], return_index=True)
+        ends = np.append(starts[1:], docs_sorted.size)
+        y_sorted = self.corpus.dense_rows(docs_sorted)
 
         value = 0.0
-        grads = None
         if want_grads:
-            grads = {
-                "theta": np.zeros_like(theta),
-                "beta": np.zeros_like(beta),
-                "eta": np.zeros_like(eta),
-                "x": np.zeros_like(x),
-            }
-
-        batch_authors = author_of[doc_idx]
-        for a in np.unique(batch_authors):
-            docs = doc_idx[batch_authors == a]
+            grad_theta = np.zeros_like(theta)
+            grad_x = np.zeros_like(x)
+            g_sum = np.zeros_like(beta)
+            xg_sum = np.zeros_like(eta)
+        for a, lo, hi in zip(authors, starts, ends):
+            docs = docs_sorted[lo:hi]
+            y = y_sorted[lo:hi]
             w = self.weights[a]
-            tilt = np.exp(x[a] * eta)
-            basis = beta * tilt
+            basis = x[a] * eta
+            np.exp(basis, out=basis)
+            basis *= beta
             th = theta[docs]
             lam = w * (th @ basis)
-            y = self.corpus.dense_rows(docs)
             value += float(
                 np.sum(y * np.log(lam)) - lam.sum() - self._lgamma_const[docs].sum()
             )
             if want_grads:
-                resid = y / lam - 1.0
-                grads["theta"][docs] = w * (resid @ basis.T)
-                cross = th.T @ resid
-                grads["beta"] += w * cross * tilt
-                grads["eta"] += (w * x[a]) * cross * basis
-                grads["x"][a] = w * np.sum(cross * basis * eta)
-        return value, grads
+                resid = y / lam
+                resid -= 1.0
+                resid *= w
+                grad_theta[docs] = resid @ basis.T
+                # G_a = w (theta_a^T (y / lam - 1)) * basis is the gradient
+                # with respect to log beta; eta's weighs it by x_a, and
+                # x_a's is <G_a, eta>.
+                g = th.T @ resid
+                g *= basis
+                g_sum += g
+                grad_x[a] = np.vdot(g, eta)
+                g *= x[a]
+                xg_sum += g
+        if not want_grads:
+            return value, None
+        return value, {"theta": grad_theta, "beta": g_sum / beta, "eta": xg_sum, "x": grad_x}
 
 
 def make_state(corpus, k, theta_init, beta_init, priors, rng):

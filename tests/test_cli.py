@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,16 @@ class TestTrain:
         assert rc == 2
         assert not (out / "run_manifest.json").exists()
 
+    def test_malformed_counts_line_exits_2(self, synth_corpus_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(synth_corpus_dir, data)
+        with open(data / "counts.txt", "a", encoding="utf-8") as fh:
+            fh.write("0 1\n")
+        rc = run(["train", "pf", "--data", data, "--output-dir", tmp_path / "pf",
+                  "--k", "2", "--pretrain-sweeps", "2"])
+        assert rc == 2
+        assert not (tmp_path / "pf" / "run_manifest.json").exists()
+
     def test_wordshoal_without_labels_exits_2(self, synth_corpus_dir, tmp_path):
         rc = run(["train", "wordshoal", "--data", synth_corpus_dir,
                   "--output-dir", tmp_path / "x", "--steps", "10"])
@@ -175,6 +186,19 @@ class TestAnalyze:
         assert "negative" in md and "positive" in md
         doc = json.loads((out / "topics.json").read_text())
         assert len(doc["topics"][0]["neutral"]) == 8
+
+    def test_topics_report_reads_only_the_vocabulary(self, tbip_fit_dir,
+                                                     synth_corpus_dir, tmp_path):
+        data = tmp_path / "vocab_only"
+        data.mkdir()
+        shutil.copy(Path(synth_corpus_dir) / "vocabulary.txt", data)
+        rc = run(["analyze", "topics", "--fit", tbip_fit_dir, "--data", data,
+                  "--output-dir", tmp_path / "reports"])
+        assert rc == 0
+        (data / "vocabulary.txt").write_text("only\nthree\nterms\n", encoding="utf-8")
+        rc = run(["analyze", "topics", "--fit", tbip_fit_dir, "--data", data,
+                  "--output-dir", tmp_path / "mismatch"])
+        assert rc == 2
 
     def test_align_then_compare(self, tbip_fit_dir, tmp_path):
         out = tmp_path / "aligned"

@@ -1,5 +1,7 @@
+import gc
 import math
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from textideal.corpus import (
     build_corpus,
     compute_weights,
     load_corpus,
+    load_vocabulary,
     load_weights,
     log_transform,
     read_documents_jsonl,
@@ -237,6 +240,49 @@ class TestFileFormats:
             "doc_index,author_name,doc_id\n0,alice,d0\n", encoding="utf-8")
         (tmp_path / "counts.txt").write_text("0 0 2\n0 1 1\n0 0 3\n",
                                              encoding="utf-8")
+        with pytest.raises(ValueError, match="counts.txt"):
+            load_corpus(tmp_path)
+
+    def _write_two_doc_corpus(self, tmp_path, counts_text):
+        (tmp_path / "vocabulary.txt").write_text("a\nb\n", encoding="utf-8")
+        (tmp_path / "authors.csv").write_text(
+            "doc_index,author_name,doc_id\n0,alice,d0\n1,bob,d1\n", encoding="utf-8")
+        (tmp_path / "counts.txt").write_text(counts_text, encoding="utf-8")
+
+    def test_load_corpus_closes_its_files(self, tmp_path):
+        self._write_two_doc_corpus(tmp_path, "0 0 2\n1 1 1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            load_corpus(tmp_path)
+            assert load_vocabulary(tmp_path) == Vocabulary(["a", "b"])
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\n\t\n"])
+    def test_empty_counts_file_gives_empty_corpus(self, tmp_path, text):
+        self._write_two_doc_corpus(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded, vocab = load_corpus(tmp_path)
+        assert loaded.counts.shape == (2, 2)
+        assert loaded.counts.nnz == 0
+        assert len(vocab) == 2
+
+    def test_blank_lines_and_tabs_between_counts(self, tmp_path):
+        self._write_two_doc_corpus(tmp_path, "\n0 0 2\n\n1\t1\t1.0\n\n")
+        loaded, _ = load_corpus(tmp_path)
+        assert np.array_equal(loaded.counts.toarray(), [[2, 0], [0, 1]])
+
+    @pytest.mark.parametrize("line", [
+        "0 1.5 2",    # non-integer term index
+        "0.0 1 2",    # non-integer document index
+        "zero 1 2",   # not a number
+        "0 1",        # missing column
+        "0 1 2 7",    # extra column
+        "# 0 1 2",    # comments are not part of the format
+    ])
+    def test_malformed_count_line_rejected(self, tmp_path, line):
+        self._write_two_doc_corpus(tmp_path, f"0 0 2\n{line}\n")
         with pytest.raises(ValueError, match="counts.txt"):
             load_corpus(tmp_path)
 

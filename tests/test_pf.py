@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 
+from _oracles import pf_objective, pf_phi, pf_sweep
 from textideal import pf
 from textideal.corpus import SparseCorpus
 from textideal.synth import SynthSpec, sample_tbip
@@ -30,16 +31,16 @@ class TestCaviStep:
         corpus = _random_corpus(rng, 6, 9)
         state = pf.init_state(6, 9, 3, 0.3, 0.3, rng)
         rows, cols, _ = corpus.entries()
-        phi = pf._phi(state, rows, cols)
+        phi, _ = state.nonzero_scores(corpus)
         assert np.allclose(phi.sum(axis=1), 1.0)
         assert np.all(phi >= 0)
+        assert np.array_equal(phi, pf_phi(state, rows, cols))
 
     def test_single_topic_allocates_everything(self):
         rng = np.random.default_rng(1)
         corpus = _random_corpus(rng, 5, 7)
         state = pf.init_state(5, 7, 1, 0.5, 0.5, rng)
-        rows, cols, y = corpus.entries()
-        phi = pf._phi(state, rows, cols)
+        phi, _ = state.nonzero_scores(corpus)
         assert np.array_equal(phi, np.ones_like(phi))
         new = pf.cavi_step(state, corpus)
         row_sums = np.asarray(corpus.counts.sum(axis=1)).ravel()
@@ -55,6 +56,65 @@ class TestCaviStep:
             assert np.all(state.q_beta.shape >= 0.3)
             assert np.all(state.q_theta.rate >= 0.4)
             assert np.all(state.q_beta.rate >= 0.4)
+
+
+def _with_empty_row(rng, num_docs, num_terms, empty_row):
+    dense = rng.poisson(1.0, size=(num_docs, num_terms)).astype(float)
+    dense[empty_row] = 0.0
+    return _corpus(dense)
+
+
+class TestMatchesLoopOracle:
+    """The shared-score sweep and objective equal the bincount/logsumexp
+    forms bit for bit, with and without scores cached by `pf_elbo`."""
+
+    @pytest.mark.parametrize("num_topics", [1, 2, 5, 12])
+    def test_sweeps_and_objective_bitwise(self, num_topics):
+        rng = np.random.default_rng(10 + num_topics)
+        corpus = _with_empty_row(rng, 30, 70, empty_row=4)
+        assert corpus.counts.getrow(4).nnz == 0
+        rows, cols, y = corpus.entries()
+        state = pf.init_state(30, 70, num_topics, 0.3, 0.4, rng)
+        for sweep in range(4):
+            if sweep % 2:
+                # cavi_step reuses the scores pf_elbo cached on this state.
+                assert pf.pf_elbo(state, corpus) == pf_objective(state, rows, cols, y)
+            expected = pf_sweep(state, rows, cols, y, corpus.counts.shape)
+            state = pf.cavi_step(state, corpus)
+            got = (state.q_theta.shape, state.q_theta.rate,
+                   state.q_beta.shape, state.q_beta.rate)
+            for g, e in zip(got, expected):
+                assert np.array_equal(g, e)
+            assert pf.pf_elbo(state, corpus) == pf_objective(state, rows, cols, y)
+
+    @pytest.mark.parametrize("theta_shapes", [[1.3, 1.3, 1.3], [1.3, 0.8, 1.3]])
+    def test_tied_maximal_scores(self, theta_shapes):
+        """Topics with equal factors tie at the maximum score on every
+        nonzero, all of them or two out of three."""
+        rng = np.random.default_rng(20)
+        corpus = _random_corpus(rng, 5, 6)
+        rows, cols, y = corpus.entries()
+        state = pf.PFState(
+            pf.GammaFamily(np.tile(theta_shapes, (5, 1)), np.full((5, 3), 0.7)),
+            pf.GammaFamily(np.full((3, 6), 0.9), np.full((3, 6), 1.1)),
+            0.3,
+            0.3,
+        )
+        assert pf.pf_elbo(state, corpus) == pf_objective(state, rows, cols, y)
+        phi, _ = state.nonzero_scores(corpus)
+        assert np.array_equal(phi, pf_phi(state, rows, cols))
+
+    def test_pretrain_matches_oracle_sweeps(self):
+        rng = np.random.default_rng(21)
+        corpus = _with_empty_row(rng, 12, 10, empty_row=0)
+        rows, cols, y = corpus.entries()
+        theta, beta = pf.pretrain(corpus, 3, sweeps=6, seed=5, tol=0.0)
+        state = pf.init_state(12, 10, 3, 0.3, 0.3, np.random.default_rng(5))
+        for _ in range(6):
+            ts, tr, bs, br = pf_sweep(state, rows, cols, y, corpus.counts.shape)
+            state = pf.PFState(pf.GammaFamily(ts, tr), pf.GammaFamily(bs, br), 0.3, 0.3)
+        assert np.array_equal(theta, state.q_theta.mean())
+        assert np.array_equal(beta, state.q_beta.mean())
 
 
 class TestElbo:

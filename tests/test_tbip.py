@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.stats import poisson
 
+from _oracles import tbip_loglik
 from textideal import engine, tbip
 from textideal.corpus import SparseCorpus, compute_weights
 from textideal.synth import SynthSpec, sample_tbip
@@ -92,6 +93,79 @@ def _tiny_corpus(rng, num_docs=8, num_terms=6, num_authors=3):
     dense[:, 0] += 1
     return SparseCorpus(sp.csr_matrix(dense), np.arange(num_docs) % num_authors,
                         [f"a{i}" for i in range(num_authors)])
+
+
+def _assert_close_rel(got, expected, rtol=1e-12):
+    """Agreement relative to the largest magnitude of the expected array."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
+
+
+class TestLoglikMatchesLoopOracle:
+    """The author-grouped kernel against the one-mask-per-author loop."""
+
+    def _setup(self, seed, empty_doc=None, num_docs=12):
+        rng = np.random.default_rng(seed)
+        num_terms, num_authors, k = 9, 4, 3
+        dense = rng.poisson(1.5, size=(num_docs, num_terms)).astype(float)
+        if empty_doc is not None:
+            dense[empty_doc] = 0.0
+        author_of = rng.permutation(np.arange(num_docs) % num_authors)
+        corpus = SparseCorpus(sp.csr_matrix(dense), author_of,
+                              [f"a{i}" for i in range(num_authors)])
+        samples = {
+            "theta": rng.gamma(1.0, 1.0, (num_docs, k)) + 0.05,
+            "beta": rng.gamma(1.0, 1.0, (k, num_terms)) + 0.05,
+            "eta": rng.normal(0.0, 0.7, (k, num_terms)),
+            "x": rng.normal(0.0, 1.0, num_authors),
+        }
+        weights = compute_weights(corpus)
+        return corpus, dense, weights, samples
+
+    def _check(self, corpus, dense, weights, samples, doc_idx):
+        doc_idx = np.asarray(doc_idx)
+        model = TBIPModel(corpus, weights)
+        value, grads = model.loglik(samples, doc_idx, want_grads=True)
+        exp_value, exp_grads = tbip_loglik(dense, corpus.author_of, weights, samples,
+                                           doc_idx, want_grads=True)
+        _assert_close_rel(value, exp_value)
+        assert set(grads) == set(exp_grads)
+        for name in exp_grads:
+            _assert_close_rel(grads[name], exp_grads[name])
+        value_only, none = model.loglik(samples, doc_idx, want_grads=False)
+        assert none is None
+        assert value_only == value
+
+    def test_single_author_batch(self):
+        corpus, dense, weights, samples = self._setup(0)
+        docs = np.flatnonzero(corpus.author_of == 2)[::-1]
+        self._check(corpus, dense, weights, samples, docs)
+
+    def test_all_distinct_authors(self):
+        corpus, dense, weights, samples = self._setup(1)
+        docs = [int(np.flatnonzero(corpus.author_of == a)[0]) for a in (3, 0, 2, 1)]
+        self._check(corpus, dense, weights, samples, docs)
+
+    def test_repeated_authors_in_batch_order(self):
+        corpus, dense, weights, samples = self._setup(2, num_docs=80)
+        docs = np.random.default_rng(3).permutation(corpus.num_docs)[:60]
+        assert np.unique(corpus.author_of[docs]).size < docs.size
+        self._check(corpus, dense, weights, samples, docs)
+
+    def test_document_without_nonzeros(self):
+        corpus, dense, weights, samples = self._setup(4, empty_doc=5)
+        assert corpus.counts.getrow(5).nnz == 0
+        self._check(corpus, dense, weights, samples, [5, 0, 7, 3, 11])
+        self._check(corpus, dense, weights, samples, [5])
+
+    def test_value_only_matches_oracle(self):
+        corpus, dense, weights, samples = self._setup(5)
+        docs = np.arange(corpus.num_docs)
+        value, grads = TBIPModel(corpus, weights).loglik(samples, docs, want_grads=False)
+        assert grads is None
+        _assert_close_rel(value, tbip_loglik(dense, corpus.author_of, weights, samples,
+                                             docs)[0])
 
 
 class TestPinnedTiltMatchesFactorization:
