@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import engine
-from .engine import AdamState, NormalPrior, VariationalState, gaussian_families
+from .engine import AdamState, Family, NormalPrior, VariationalState, gaussian_families
 
 
 class DebateTooSmall(Exception):
@@ -107,37 +107,72 @@ def aggregate_by_author(corpus, doc_idx=None):
     return dense, present
 
 
-class WordfishModel:
-    """Poisson scaling likelihood on a pooled author-by-term matrix."""
+def _runs(sizes):
+    """Consecutive slices of the given lengths, starting at 0."""
+    ends = np.cumsum(sizes, dtype=np.int64).tolist()
+    return [slice(end - size, end) for size, end in zip(sizes, ends)]
 
-    def __init__(self, counts):
-        self.counts = np.asarray(counts, dtype=np.float64)
-        self.num_items = self.counts.shape[0]
-        self._lgamma_const = gammaln(self.counts + 1.0).sum(axis=1)
+
+class WordfishModel:
+    """Poisson scaling likelihood on pooled author-by-term count blocks.
+
+    Each block is an independent wordfish: its authors take the next
+    contiguous slice of the stacked `alpha` and `x`, its terms the next
+    slice of `psi` and `b`. Element-wise work runs once over every cell of
+    every block; each block's sums and products run on a C-contiguous
+    (authors, terms) view, so a block's value and gradients are bitwise
+    those of a model built on that block alone. The model is full-batch:
+    `author_idx` must list every stacked author in order.
+    """
+
+    def __init__(self, blocks):
+        blocks = [np.asarray(c, dtype=np.float64) for c in blocks]
+        self.shapes = [c.shape for c in blocks]
+        self.num_items = sum(n for n, _ in self.shapes)
+        self.author_slices = _runs([n for n, _ in self.shapes])
+        self.term_slices = _runs([v for _, v in self.shapes])
+        self.cell_slices = _runs([c.size for c in blocks])
+        # Cells in block order, row-major within a block: author a owns a
+        # run of its block's width, so per-author values spread by np.repeat.
+        self.counts = np.concatenate([c.ravel() for c in blocks])
+        self._row_width = np.concatenate(
+            [np.full(n, v, dtype=np.int64) for n, v in self.shapes]
+        )
+        self._term_of_cell = np.concatenate(
+            [np.tile(np.arange(sl.start, sl.stop), n)
+             for sl, (n, _) in zip(self.term_slices, self.shapes)]
+        )
+        self._lgamma_const = [gammaln(c + 1.0).sum(axis=1).sum() for c in blocks]
+
+    def _block(self, flat, k):
+        return flat[self.cell_slices[k]].reshape(self.shapes[k])
 
     def loglik(self, samples, author_idx, want_grads=False):
+        if not np.array_equal(author_idx, np.arange(self.num_items)):
+            raise ValueError("wordfish is full-batch: author_idx must cover every author in order")
         alpha = samples["alpha"]
         psi = samples["psi"]
         b = samples["b"]
         x = samples["x"]
-        rows = np.asarray(author_idx)
-        y = self.counts[rows]
-        t = alpha[rows, None] + psi[None, :] + np.outer(x[rows], b)
+        w = self._row_width
+        t = (np.repeat(alpha, w) + psi[self._term_of_cell]
+             + np.repeat(x, w) * b[self._term_of_cell])
         lam = np.exp(t)
-        value = float(np.sum(y * t - lam) - self._lgamma_const[rows].sum())
+        cell = self.counts * t - lam
+        value = sum(
+            float(np.sum(self._block(cell, k)) - self._lgamma_const[k])
+            for k in range(len(self.shapes))
+        )
         grads = None
         if want_grads:
-            g = y - lam
-            dalpha = np.zeros_like(alpha)
-            dx = np.zeros_like(x)
-            dalpha[rows] = g.sum(axis=1)
-            dx[rows] = g @ b
-            grads = {
-                "alpha": dalpha,
-                "psi": g.sum(axis=0),
-                "b": g.T @ x[rows],
-                "x": dx,
-            }
+            g = self.counts - lam
+            grads = {name: np.empty_like(samples[name]) for name in ("alpha", "psi", "b", "x")}
+            for k, (rows, terms) in enumerate(zip(self.author_slices, self.term_slices)):
+                gk = self._block(g, k)
+                grads["alpha"][rows] = gk.sum(axis=1)
+                grads["x"][rows] = gk @ b[terms]
+                grads["psi"][terms] = gk.sum(axis=0)
+                grads["b"][terms] = gk.T @ x[rows]
         return value, grads
 
 
@@ -145,31 +180,72 @@ WordfishFit = namedtuple("WordfishFit", ["x_hat", "psi_hat", "b_hat", "elbo_trac
 WordshoalFit = namedtuple("WordshoalFit", ["x_hat", "debate_positions", "elbo_trace"])
 
 
-def _fit_wordfish(counts, cfg, rng):
-    model = WordfishModel(counts)
-    num_authors, num_terms = counts.shape
-    families = gaussian_families(
-        {"alpha": num_authors, "psi": num_terms, "b": num_terms, "x": num_authors}, rng
-    )
-    state = VariationalState(families, {name: NormalPrior(1.0) for name in families})
+class _StreamState(VariationalState):
+    """Stacked wordfish factors in which block k draws only from rngs[k].
+
+    Block k takes its initial locations and its share of every noise sample
+    from its own stream in the order alpha, psi, b, x, the same draws a
+    VariationalState of that block alone would take from it.
+    """
+
+    def __init__(self, model, rngs):
+        self.rngs = list(rngs)
+        self.slices = [
+            {"alpha": rows, "psi": terms, "b": terms, "x": rows}
+            for rows, terms in zip(model.author_slices, model.term_slices)
+        ]
+        parts = [
+            gaussian_families({"alpha": n, "psi": v, "b": v, "x": n}, rng)
+            for (n, v), rng in zip(model.shapes, self.rngs)
+        ]
+        families = {
+            name: Family(
+                np.concatenate([p[name].mu for p in parts]),
+                np.concatenate([p[name].log_sigma for p in parts]),
+            )
+            for name in ("alpha", "psi", "b", "x")
+        }
+        super().__init__(families, {name: NormalPrior(1.0) for name in families})
+
+    def sample_noise(self, rng):
+        """One noise sample; `rng` is unused, block k draws from rngs[k]."""
+        noise = {name: np.empty(fam.mu.shape) for name, fam in self.families.items()}
+        for stream, slices in zip(self.rngs, self.slices):
+            for name in self.names:
+                stream.standard_normal(out=noise[name][slices[name]])
+        return noise
+
+
+def _fit_wordfish(blocks, cfg, rngs):
+    """Train one wordfish per count block in a single full-batch engine run.
+
+    Block k draws from rngs[k] alone and Adam is element-wise, so each
+    block's fit is bitwise the fit of that block by itself. Returns one
+    WordfishFit per block; they share the trace of the summed objective.
+    """
+    model = WordfishModel(blocks)
+    state = _StreamState(model, rngs)
     trace = engine.fit(
         state,
         model,
         max_steps=cfg.max_steps,
-        batch_size=num_authors,
-        rng=rng,
+        batch_size=model.num_items,
+        rng=None,  # full batch, and every noise draw comes from state.rngs
         adam=AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps),
         mc_samples=cfg.mc_samples,
         elbo_report_interval=cfg.elbo_report_interval,
     )
     means = state.posterior_means()
-    return WordfishFit(means["x"], means["psi"], means["b"], trace)
+    return [
+        WordfishFit(means["x"][rows], means["psi"][terms], means["b"][terms], trace)
+        for rows, terms in zip(model.author_slices, model.term_slices)
+    ]
 
 
 def train_wordfish(corpus, cfg):
     """Scale authors from their pooled counts; full-batch training."""
     counts, _ = aggregate_by_author(corpus)
-    return _fit_wordfish(counts, cfg, np.random.default_rng(cfg.seed))
+    return _fit_wordfish([counts], cfg, [np.random.default_rng(cfg.seed)])[0]
 
 
 class FactorState:
@@ -256,10 +332,13 @@ def train_wordshoal(dcorpus, cfg):
     if too_small:
         raise DebateTooSmall(too_small)
 
-    # Debate j's fit sees only its own counts and the [seed, j] stream.
+    # One engine run for every debate; debate j draws only from [seed, j].
+    fits = _fit_wordfish(
+        [counts for _, counts, _ in jobs], cfg,
+        [np.random.default_rng([cfg.seed, j]) for j, _, _ in jobs],
+    )
     positions = np.full((corpus.num_authors, num_debates), np.nan)
-    for j, counts, present in jobs:
-        fit = _fit_wordfish(counts, cfg, np.random.default_rng([cfg.seed, j]))
+    for (j, _, present), fit in zip(jobs, fits):
         positions[present, j] = fit.x_hat
 
     state, trace = fit_factor(positions, sweeps=max(cfg.max_steps // 10, 50))

@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 I/O error, 2 validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -228,13 +229,20 @@ def cmd_train(args):
     if not args.debates:
         raise _CliError(EXIT_VALIDATION, "wordshoal needs --debates LABELS.csv")
     labels_by_doc = {}
-    import csv as _csv
-
-    with open(_require_file(args.debates), newline="", encoding="utf-8") as fh:
-        for row in _csv.reader(fh):
+    path = _require_file(args.debates)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0] == "doc_index":
                 continue
-            labels_by_doc[int(row[0])] = row[1]
+            try:
+                doc, label = int(row[0]), row[1]
+            except (ValueError, IndexError):
+                raise _CliError(EXIT_VALIDATION, f"{path} line {reader.line_num}: "
+                                "expected doc_index,debate_id") from None
+            if doc in labels_by_doc:
+                raise _CliError(EXIT_VALIDATION, f"{path} repeats doc_index {doc}")
+            labels_by_doc[doc] = label
     try:
         labels = [labels_by_doc[d] for d in range(built.num_docs)]
     except KeyError as exc:

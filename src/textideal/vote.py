@@ -81,9 +81,13 @@ class VoteModel:
     def _entry_indices(self, bill_idx):
         if bill_idx.size == self.num_items:
             return slice(None)
-        return np.concatenate(
-            [np.arange(self._indptr[b], self._indptr[b + 1]) for b in bill_idx]
-        )
+        # Each bill's run of entries in batch order: the run's start plus
+        # the entry's offset within the run.
+        starts = self._indptr[bill_idx]
+        lengths = self._indptr[bill_idx + 1] - starts
+        out_starts = np.cumsum(lengths) - lengths
+        within = np.arange(lengths.sum()) - np.repeat(out_starts, lengths)
+        return np.repeat(starts, lengths) + within
 
     def loglik(self, samples, bill_idx, want_grads=False):
         x = samples["x"]
@@ -152,12 +156,14 @@ def save_votes_csv(votes, path):
 
 
 def load_votes_csv(path):
-    """Read a votes CSV, silently excluding rows that are not 0/1 votes."""
+    """Read a votes CSV, silently excluding rows that are not 0/1 votes.
+
+    The header row is one of those, so a lawmaker may be named like its
+    first column.
+    """
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.reader(fh):
-            if not row or row[0] == "lawmaker_name":
-                continue
             if len(row) < 3 or row[2] not in ("0", "1"):
                 continue
             records.append((row[0], row[1], int(row[2])))

@@ -3,7 +3,8 @@
 Everything here is computed without touching the code paths under test:
 quadrature instead of Monte Carlo, direct density formulas instead of the
 library's family classes, and the straightforward loop forms of the fast
-kernels (one bincount per topic, scipy's logsumexp, one mask per author).
+kernels (one bincount per topic, scipy's logsumexp, one mask per author,
+one arange per bill, one engine run per wordfish debate).
 """
 
 import math
@@ -160,3 +161,67 @@ def tbip_loglik(counts, author_of, weights, samples, doc_idx, want_grads=False):
             grads["eta"] += (w * x[a]) * cross * basis
             grads["x"][a] = w * np.sum(cross * basis * eta)
     return value, grads
+
+
+def vote_entry_indices(indptr, bill_idx):
+    """Entry positions of the batch's bills, one arange per bill."""
+    return np.concatenate([np.arange(indptr[b], indptr[b + 1]) for b in bill_idx])
+
+
+def wordfish_loglik(counts, samples, rows, want_grads=False):
+    """Wordfish log likelihood and gradients on one dense author-by-term
+    count matrix, the single-model form of the stacked kernel."""
+    alpha, psi, b, x = (samples[k] for k in ("alpha", "psi", "b", "x"))
+    y = counts[rows]
+    t = alpha[rows, None] + psi[None, :] + np.outer(x[rows], b)
+    lam = np.exp(t)
+    value = float(np.sum(y * t - lam) - gammaln(counts + 1.0).sum(axis=1)[rows].sum())
+    grads = None
+    if want_grads:
+        g = y - lam
+        dalpha = np.zeros_like(alpha)
+        dx = np.zeros_like(x)
+        dalpha[rows] = g.sum(axis=1)
+        dx[rows] = g @ b
+        grads = {"alpha": dalpha, "psi": g.sum(axis=0), "b": g.T @ x[rows], "x": dx}
+    return value, grads
+
+
+def wordfish_fit(counts, cfg, rng):
+    """One wordfish fit in its own engine run; returns (means, trace)."""
+    from textideal import engine
+
+    class Model:
+        num_items = counts.shape[0]
+
+        def loglik(self, samples, rows, want_grads=False):
+            return wordfish_loglik(counts, samples, rows, want_grads)
+
+    num_authors, num_terms = counts.shape
+    families = engine.gaussian_families(
+        {"alpha": num_authors, "psi": num_terms, "b": num_terms, "x": num_authors}, rng
+    )
+    state = engine.VariationalState(
+        families, {name: engine.NormalPrior(1.0) for name in families}
+    )
+    trace = engine.fit(
+        state, Model(), max_steps=cfg.max_steps, batch_size=num_authors, rng=rng,
+        adam=engine.AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps),
+        mc_samples=cfg.mc_samples, elbo_report_interval=cfg.elbo_report_interval,
+    )
+    return state.posterior_means(), trace
+
+
+def wordshoal_stage_one(dcorpus, cfg):
+    """Stage-one position matrix from one wordfish run per debate, debate j
+    on the [seed, j] stream; NaN where an author is absent."""
+    from textideal.baselines import aggregate_by_author
+
+    corpus = dcorpus.corpus
+    positions = np.full((corpus.num_authors, dcorpus.num_debates), np.nan)
+    for j in range(dcorpus.num_debates):
+        counts, present = aggregate_by_author(corpus, np.flatnonzero(dcorpus.debate_of == j))
+        active = counts[:, counts.sum(axis=0) > 0]
+        means, _ = wordfish_fit(active, cfg, np.random.default_rng([cfg.seed, j]))
+        positions[present, j] = means["x"]
+    return positions

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from _oracles import wordfish_fit, wordfish_loglik, wordshoal_stage_one
+from textideal import engine
 from textideal.baselines import (
     DebateLabeledCorpus,
     DebateTooSmall,
@@ -58,6 +60,27 @@ def wordshoal_corpus(num_authors, num_debates, num_terms, seed, noise=0.1):
     return corpus, labels, x
 
 
+def ragged_debate_corpus(seed):
+    """Debates over different author subsets, each with its own number of
+    active terms; some authors speak twice in a debate."""
+    rng = np.random.default_rng(seed)
+    num_authors, num_terms = 12, 40
+    layout = [(np.arange(12), 40), (np.array([1, 3, 4, 8, 10]), 9), (np.arange(2, 9), 23)]
+    rows, authors, labels = [], [], []
+    for j, (members, active) in enumerate(layout):
+        lam = np.zeros((members.size, num_terms))
+        terms = rng.choice(num_terms, active, replace=False)
+        x = rng.standard_normal(members.size)
+        lam[:, terms] = np.exp(0.3 + np.outer(x, rng.standard_normal(active)))
+        for speakers in (slice(None), slice(None, None, 2)):
+            rows.append(rng.poisson(lam[speakers]))
+            authors.append(members[speakers])
+            labels += [f"debate{j}"] * members[speakers].size
+    corpus = SparseCorpus(sp.csr_matrix(np.vstack(rows).astype(float)), np.concatenate(authors),
+                          [f"a{i}" for i in range(num_authors)])
+    return DebateLabeledCorpus.build(corpus, labels)
+
+
 class TestAggregate:
     def test_pools_documents_per_author(self):
         counts = np.array([[1, 0], [2, 3], [0, 4]], dtype=float)
@@ -91,7 +114,7 @@ class TestWordfish:
 
     def test_sign_flip_symmetry_at_rate_level(self):
         rng = np.random.default_rng(0)
-        model = WordfishModel(rng.poisson(2.0, (4, 6)).astype(float))
+        model = WordfishModel([rng.poisson(2.0, (4, 6)).astype(float)])
         samples = {
             "alpha": rng.standard_normal(4),
             "psi": rng.standard_normal(6),
@@ -171,7 +194,7 @@ class TestWordshoal:
         for j in reversed(range(d.num_debates)):
             counts, present = aggregate_by_author(d.corpus, np.flatnonzero(d.debate_of == j))
             active = counts[:, counts.sum(axis=0) > 0]
-            alone = _fit_wordfish(active, cfg, np.random.default_rng([cfg.seed, j]))
+            alone = _fit_wordfish([active], cfg, [np.random.default_rng([cfg.seed, j])])[0]
             assert np.array_equal(fit.debate_positions[present, j], alone.x_hat)
             absent = np.setdiff1d(np.arange(d.corpus.num_authors), present)
             assert np.all(np.isnan(fit.debate_positions[absent, j]))
@@ -193,3 +216,83 @@ class TestWordshoal:
         values = [v for _, v in trace[1:]]
         for a, b in zip(values, values[1:]):
             assert b >= a - 1e-8 * abs(a)
+
+
+class TestStackedStageOne:
+    """One engine run for every debate equals one run per debate, bitwise."""
+
+    @pytest.mark.parametrize("mc_samples", [1, 2])
+    def test_ragged_debates_match_per_debate_runs(self, mc_samples):
+        d = ragged_debate_corpus(seed=11)
+        shapes = set()
+        for j in range(d.num_debates):
+            counts, present = aggregate_by_author(d.corpus, np.flatnonzero(d.debate_of == j))
+            shapes.add((present.size, int(np.count_nonzero(counts.sum(axis=0)))))
+        assert len({n for n, _ in shapes}) == 3 and len({v for _, v in shapes}) == 3
+        cfg = TrainConfig(max_steps=150, seed=3, lr=0.02, mc_samples=mc_samples,
+                          elbo_report_interval=150)
+        fit = train_wordshoal(d, cfg)
+        assert np.array_equal(fit.debate_positions, wordshoal_stage_one(d, cfg), equal_nan=True)
+
+    def test_single_debate_matches_one_run(self):
+        corpus, labels, _ = wordshoal_corpus(10, 1, 40, seed=6)
+        d = DebateLabeledCorpus.build(corpus, labels)
+        cfg = TrainConfig(max_steps=200, seed=5, lr=0.02, elbo_report_interval=200)
+        fit = train_wordshoal(d, cfg)
+        assert np.array_equal(fit.debate_positions, wordshoal_stage_one(d, cfg))
+
+    def test_train_wordfish_matches_single_model_run(self):
+        counts, _ = wordfish_counts(15, 50, polarity=1.0, seed=2)
+        cfg = TrainConfig(max_steps=200, seed=4, lr=0.02, elbo_report_interval=50)
+        fit = train_wordfish(one_doc_per_author_corpus(counts), cfg)
+        means, trace = wordfish_fit(counts, cfg, np.random.default_rng(cfg.seed))
+        assert np.array_equal(fit.x_hat, means["x"])
+        assert np.array_equal(fit.psi_hat, means["psi"])
+        assert np.array_equal(fit.b_hat, means["b"])
+        assert fit.elbo_trace == trace
+
+    def test_block_gradients_match_single_model(self):
+        rng = np.random.default_rng(7)
+        blocks = [rng.poisson(2.0, shape).astype(float) for shape in [(3, 5), (1, 4), (4, 2)]]
+        model = WordfishModel(blocks)
+        samples = {name: rng.standard_normal(size) for name, size in
+                   [("alpha", 8), ("psi", 11), ("b", 11), ("x", 8)]}
+        value, grads = model.loglik(samples, np.arange(8), want_grads=True)
+        total = 0.0
+        for counts, rows, terms in zip(blocks, model.author_slices, model.term_slices):
+            part = {"alpha": samples["alpha"][rows], "psi": samples["psi"][terms],
+                    "b": samples["b"][terms], "x": samples["x"][rows]}
+            v, g = wordfish_loglik(counts, part, np.arange(counts.shape[0]), want_grads=True)
+            total += v
+            for name, sl in [("alpha", rows), ("psi", terms), ("b", terms), ("x", rows)]:
+                assert np.array_equal(grads[name][sl], g[name])
+        assert value == pytest.approx(total, rel=1e-12)
+
+    def test_rejects_a_partial_batch(self):
+        model = WordfishModel([np.ones((3, 2))])
+        samples = {"alpha": np.zeros(3), "psi": np.zeros(2), "b": np.zeros(2), "x": np.zeros(3)}
+        with pytest.raises(ValueError):
+            model.loglik(samples, np.array([0, 2]))
+
+
+class TestWordshoalFailures:
+    def test_divergence_raises_non_finite_elbo(self):
+        corpus, labels, _ = wordshoal_corpus(8, 3, 30, seed=1)
+        d = DebateLabeledCorpus.build(corpus, labels)
+        with pytest.raises(engine.NonFiniteElbo):
+            train_wordshoal(d, TrainConfig(max_steps=200, seed=0, lr=1e8))
+
+    def test_too_small_debates_all_named_before_any_fit(self, monkeypatch):
+        counts = np.array([[3.0, 1, 1, 2], [2, 1, 1, 1],
+                           [3, 0, 0, 0], [1, 0, 0, 0],
+                           [0, 2, 0, 0], [0, 5, 0, 0]])
+        corpus = SparseCorpus(sp.csr_matrix(counts), [0, 1, 0, 1, 0, 1], ["a", "b"])
+        d = DebateLabeledCorpus.build(corpus, ["wide", "wide", "narrow", "narrow", "thin", "thin"])
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit started before the size check")
+
+        monkeypatch.setattr(engine, "fit", no_fit)
+        with pytest.raises(DebateTooSmall) as err:
+            train_wordshoal(d, TrainConfig(max_steps=10))
+        assert err.value.labels == ["narrow", "thin"]

@@ -1,4 +1,6 @@
+import csv
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -10,6 +12,20 @@ from textideal.cli import main
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def parity_debate_labels(corpus_dir, path, extra_rows=()):
+    """Write a debate-labels CSV putting documents into two debates by
+    parity, followed by `extra_rows` verbatim."""
+    counts = (corpus_dir / "counts.txt").read_text().splitlines()
+    num_docs = max(int(line.split()[0]) for line in counts if line) + 1
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["doc_index", "debate_id"])
+        for d in range(num_docs):
+            writer.writerow([d, f"debate{d % 2}"])
+        writer.writerows(extra_rows)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -118,17 +134,7 @@ class TestTrain:
         assert rc == 0
         assert (out / "psi.bin").exists()
 
-        # label documents into two debates by parity
-        import csv
-
-        labels = tmp_path / "debates.csv"
-        with open(labels, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["doc_index", "debate_id"])
-            counts = (synth_corpus_dir / "counts.txt").read_text().splitlines()
-            num_docs = max(int(line.split()[0]) for line in counts if line) + 1
-            for d in range(num_docs):
-                writer.writerow([d, f"debate{d % 2}"])
+        labels = parity_debate_labels(synth_corpus_dir, tmp_path / "debates.csv")
         ws = tmp_path / "ws"
         rc = run(["train", "wordshoal", "--data", synth_corpus_dir,
                   "--output-dir", ws, "--steps", "200", "--seed", "0",
@@ -165,6 +171,29 @@ class TestTrain:
         rc = run(["train", "wordshoal", "--data", synth_corpus_dir,
                   "--output-dir", tmp_path / "x", "--steps", "10"])
         assert rc == 2
+
+    @pytest.mark.parametrize("extra_row, message", [
+        (["5"], "line"),
+        (["5", "debate9"], "repeats doc_index 5"),
+    ])
+    def test_malformed_debate_labels_exit_2(self, synth_corpus_dir, tmp_path, caplog,
+                                            extra_row, message):
+        labels = parity_debate_labels(synth_corpus_dir, tmp_path / "debates.csv", [extra_row])
+        out = tmp_path / "ws"
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["train", "wordshoal", "--data", synth_corpus_dir,
+                      "--output-dir", out, "--steps", "10", "--debates", labels])
+        assert rc == 2
+        assert str(labels) in caplog.text and message in caplog.text
+        assert not (out / "run_manifest.json").exists()
+
+    def test_divergent_wordshoal_exits_3_without_manifest(self, synth_corpus_dir, tmp_path):
+        labels = parity_debate_labels(synth_corpus_dir, tmp_path / "debates.csv")
+        out = tmp_path / "boom"
+        rc = run(["train", "wordshoal", "--data", synth_corpus_dir, "--output-dir", out,
+                  "--steps", "200", "--seed", "0", "--lr", "1e8", "--debates", labels])
+        assert rc == 3
+        assert not (out / "run_manifest.json").exists()
 
     def test_divergent_run_exits_3_without_manifest(self, synth_corpus_dir, tmp_path):
         out = tmp_path / "boom"

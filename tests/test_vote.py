@@ -1,6 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import vote_entry_indices
 from textideal import engine
 from textideal.synth import SynthSpec, sample_votes
 from textideal.tbip import TrainConfig
@@ -143,3 +148,61 @@ class TestTrainVote:
                           elbo_report_interval=100)
         fit = train_vote(votes, cfg)
         assert np.all(np.isfinite(fit.x_hat))
+
+
+@st.composite
+def _votes_per_bill_and_batch(draw):
+    """Entries per bill (ones included) and a shuffled proper subset of bills."""
+    per_bill = draw(st.lists(st.integers(1, 4), min_size=2, max_size=12))
+    batch = draw(st.permutations(range(len(per_bill))))
+    size = draw(st.integers(1, len(per_bill) - 1))
+    return per_bill, np.array(batch[:size], dtype=np.int64)
+
+
+class TestEntryGather:
+    @settings(max_examples=100, deadline=None)
+    @given(_votes_per_bill_and_batch(), st.randoms(use_true_random=False))
+    def test_matches_one_arange_per_bill(self, case, rnd):
+        per_bill, batch = case
+        bills = [b for b, n in enumerate(per_bill) for _ in range(n)]
+        rnd.shuffle(bills)  # the model sorts entries by bill itself
+        lawmakers = [bills[:k].count(b) for k, b in enumerate(bills)]
+        model = VoteModel(VoteMatrix(lawmakers, bills, [k % 2 for k in range(len(bills))],
+                                     [f"l{i}" for i in range(max(per_bill))],
+                                     [f"b{j}" for j in range(len(per_bill))]))
+        expected = vote_entry_indices(model._indptr, batch)
+        got = model._entry_indices(batch)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+# Names with the characters CSV quoting has to handle, and the header's own
+# first field as a lawmaker name.
+_names = st.one_of(st.text(max_size=6), st.sampled_from(
+    ["lawmaker_name", "bill_id", "vote", "a,b", '"q"', 'x"", y', "line\nbreak", " pad "]))
+
+
+@st.composite
+def _vote_triples(draw):
+    lawmakers = draw(st.lists(_names, min_size=1, max_size=5, unique=True))
+    bills = draw(st.lists(_names, min_size=1, max_size=5, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(lawmakers), st.sampled_from(bills)),
+                          min_size=1, max_size=12, unique=True))
+    return {(lawmaker, bill, draw(st.integers(0, 1))) for lawmaker, bill in pairs}
+
+
+class TestVotesCsvProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_vote_triples())
+    def test_save_load_round_trip(self, triples):
+        names = sorted({t[0] for t in triples})
+        bills = sorted({t[1] for t in triples})
+        votes = VoteMatrix([names.index(t[0]) for t in triples],
+                           [bills.index(t[1]) for t in triples],
+                           [t[2] for t in triples], names, bills)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_votes_csv(votes, Path(tmp) / "votes.csv")
+            loaded = load_votes_csv(Path(tmp) / "votes.csv")
+        got = {(loaded.lawmaker_names[i], loaded.bill_ids[j], int(v))
+               for i, j, v in zip(loaded.lawmaker_idx, loaded.bill_idx, loaded.votes)}
+        assert got == triples
