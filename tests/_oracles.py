@@ -4,13 +4,18 @@ Everything here is computed without touching the code paths under test:
 quadrature instead of Monte Carlo, direct density formulas instead of the
 library's family classes, and the straightforward loop forms of the fast
 kernels (one bincount per topic, scipy's logsumexp, one mask per author,
-one arange per bill, one engine run per wordfish debate).
+one arange per bill, one engine run per wordfish debate, one dict update
+per n-gram in preprocessing, one write per counts line).
 """
 
 import math
+from collections import Counter
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import digamma, gammaln, logsumexp
+
+from textideal.corpus import _TOKEN_RE, AllDocumentsFiltered, SparseCorpus, Vocabulary
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -225,3 +230,112 @@ def wordshoal_stage_one(dcorpus, cfg):
         means, _ = wordfish_fit(active, cfg, np.random.default_rng([cfg.seed, j]))
         positions[present, j] = means["x"]
     return positions
+
+
+# Preprocessing as one Python-level dict update per n-gram and per
+# (document, term) pair.
+
+
+def tokenize(text, max_ngram=1, stopwords=frozenset()):
+    """Count lowercased alphabetic n-grams in `text`.
+
+    Stopwords are dropped before n-grams are formed, so phrases may bridge
+    removed stopwords. N-gram tokens join their words with single spaces.
+    """
+    words = [w for w in _TOKEN_RE.findall(text.lower()) if w not in stopwords]
+    counts = Counter()
+    for n in range(1, max_ngram + 1):
+        for i in range(len(words) - n + 1):
+            counts[" ".join(words[i : i + n])] += 1
+    return counts
+
+
+def build_corpus(docs, cfg):
+    """Build a (SparseCorpus, Vocabulary) pair from raw documents.
+
+    Filtering happens in a fixed order: authors with fewer than
+    `min_docs_per_author` documents are dropped first (with their
+    documents); document frequencies are then measured over the survivors;
+    the vocabulary keeps n-grams with document frequency inside the
+    inclusive [min, max] band that are used by at least
+    `min_authors_per_term` distinct authors; finally, documents left with
+    no in-vocabulary tokens are dropped.
+
+    Raises AllDocumentsFiltered when nothing survives.
+    """
+    if not docs:
+        raise ValueError("docs must be non-empty")
+    seen_ids = set()
+    for d in docs:
+        if d.doc_id in seen_ids:
+            raise ValueError(f"duplicate doc_id {d.doc_id!r}")
+        seen_ids.add(d.doc_id)
+        if not d.author_id:
+            raise ValueError(f"document {d.doc_id!r} has an empty author_id")
+
+    docs_by_author = Counter(d.author_id for d in docs)
+    kept = [d for d in docs if docs_by_author[d.author_id] >= cfg.min_docs_per_author]
+    if not kept:
+        raise AllDocumentsFiltered(
+            f"no author has >= {cfg.min_docs_per_author} documents"
+        )
+
+    token_counts = [tokenize(d.text, cfg.max_ngram, cfg.stopwords) for d in kept]
+
+    doc_freq = Counter()
+    for tc in token_counts:
+        doc_freq.update(tc.keys())
+    author_freq = Counter()
+    doc_idx_by_author = {}
+    for i, d in enumerate(kept):
+        doc_idx_by_author.setdefault(d.author_id, []).append(i)
+    for idxs in doc_idx_by_author.values():
+        used = set()
+        for i in idxs:
+            used.update(token_counts[i].keys())
+        author_freq.update(used)
+
+    n_docs = len(kept)
+    lo, hi = cfg.min_doc_frequency, cfg.max_doc_frequency
+    vocab_terms = sorted(
+        t
+        for t, c in doc_freq.items()
+        if lo <= c / n_docs <= hi and author_freq[t] >= cfg.min_authors_per_term
+    )
+    if not vocab_terms:
+        raise AllDocumentsFiltered("vocabulary filters removed every term")
+    vocab = Vocabulary(vocab_terms)
+
+    rows, cols, vals = [], [], []
+    kept_docs = []
+    for i, tc in enumerate(token_counts):
+        pairs = [(vocab.index[t], c) for t, c in tc.items() if t in vocab.index]
+        if not pairs:
+            continue
+        r = len(kept_docs)
+        kept_docs.append(kept[i])
+        for v, c in sorted(pairs):
+            rows.append(r)
+            cols.append(v)
+            vals.append(float(c))
+    if not kept_docs:
+        raise AllDocumentsFiltered("every document lost all tokens to the filters")
+
+    author_names = sorted({d.author_id for d in kept_docs})
+    author_index = {a: s for s, a in enumerate(author_names)}
+    author_of = np.array([author_index[d.author_id] for d in kept_docs], dtype=np.int64)
+    counts = sp.csr_matrix(
+        (vals, (rows, cols)), shape=(len(kept_docs), len(vocab)), dtype=np.float64
+    )
+    corpus = SparseCorpus(
+        counts, author_of, author_names, doc_ids=[d.doc_id for d in kept_docs]
+    )
+    return corpus, vocab
+
+
+def write_counts_lines(corpus, path):
+    """The counts file written one formatted numpy line at a time."""
+    rows, cols, vals = corpus.entries()
+    with open(path, "w", encoding="utf-8") as fh:
+        for d, v, c in zip(rows, cols, vals):
+            fh.write(f"{d} {v} {int(c)}\n")

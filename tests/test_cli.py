@@ -167,6 +167,23 @@ class TestTrain:
         assert rc == 2
         assert not (tmp_path / "pf" / "run_manifest.json").exists()
 
+    @pytest.mark.parametrize("extra_line, message", [
+        ("7", "line"),
+        ("7,author9,x", "repeats doc_index 7"),
+    ])
+    def test_malformed_authors_file_exits_2(self, synth_corpus_dir, tmp_path, caplog,
+                                            extra_line, message):
+        data = tmp_path / "data"
+        shutil.copytree(synth_corpus_dir, data)
+        with open(data / "authors.csv", "a", encoding="utf-8") as fh:
+            fh.write(extra_line + "\n")
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["train", "pf", "--data", data, "--output-dir", tmp_path / "pf",
+                      "--k", "2", "--pretrain-sweeps", "2"])
+        assert rc == 2
+        assert str(data / "authors.csv") in caplog.text and message in caplog.text
+        assert not (tmp_path / "pf" / "run_manifest.json").exists()
+
     def test_wordshoal_without_labels_exits_2(self, synth_corpus_dir, tmp_path):
         rc = run(["train", "wordshoal", "--data", synth_corpus_dir,
                   "--output-dir", tmp_path / "x", "--steps", "10"])

@@ -2,12 +2,14 @@ import gc
 import math
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import _oracles
 from textideal.corpus import (
     AllDocumentsFiltered,
     PreprocessConfig,
@@ -286,6 +288,18 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="counts.txt"):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("1", "authors.csv line 4: expected doc_index,author_name"),
+        ("one,carol,d9", "authors.csv line 4: expected doc_index,author_name"),
+        ("1,carol,d9", "authors.csv line 4: repeats doc_index 1"),
+    ])
+    def test_malformed_authors_line_rejected(self, tmp_path, line, message):
+        self._write_two_doc_corpus(tmp_path, "0 0 2\n1 1 1\n")
+        with open(tmp_path / "authors.csv", "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_corpus(tmp_path)
+
     def test_weights_round_trip(self, tmp_path):
         path = tmp_path / "weights.csv"
         save_weights(path, ["a", "b"], np.array([0.5, 1.5]))
@@ -334,12 +348,98 @@ class TestCorpusProperties:
         with tempfile.TemporaryDirectory() as tmp:
             save_corpus(corpus, vocab, tmp)
             loaded, vocab2 = load_corpus(tmp)
+            written = (Path(tmp) / "counts.txt").read_bytes()
+            _oracles.write_counts_lines(corpus, Path(tmp) / "oracle.txt")
+            assert written == (Path(tmp) / "oracle.txt").read_bytes()
         assert vocab2 == vocab
         assert loaded.counts.shape == corpus.counts.shape
         assert np.array_equal(loaded.counts.toarray(), corpus.counts.toarray())
         assert np.array_equal(loaded.author_of, corpus.author_of)
         assert loaded.author_names == corpus.author_names
         assert loaded.doc_ids == corpus.doc_ids
+
+
+_WORDS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def _raw_documents(draw):
+    """Tiny texts over four words, with case, digits and punctuation, and
+    now and then a repeated id or an empty author."""
+    num_docs = draw(st.integers(0, 8))
+    docs = []
+    for d in range(num_docs):
+        tokens = draw(st.lists(st.sampled_from(_WORDS + ["B", "a1c", "d.", "!"]),
+                               max_size=10))
+        rare = draw(st.integers(0, 99))
+        doc_id = "d0" if rare == 41 else f"d{d}"
+        author = "" if rare == 59 else draw(st.sampled_from(["x", "y", "z"]))
+        docs.append(RawDocument(doc_id, author, " ".join(tokens)))
+    return docs
+
+
+@st.composite
+def _preprocess_configs(draw):
+    # Fractions that a document frequency over up to eight documents can
+    # equal exactly, so the inclusive band edges are hit.
+    lo = draw(st.sampled_from([0.0, 0.125, 0.2, 0.25, 1 / 3, 0.5, 0.75]))
+    hi = draw(st.sampled_from([0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0]))
+    assume(lo < hi)
+    return PreprocessConfig(
+        min_doc_frequency=lo,
+        max_doc_frequency=hi,
+        min_authors_per_term=draw(st.integers(0, 4)),
+        min_docs_per_author=draw(st.integers(0, 3)),
+        stopwords=frozenset(draw(st.sets(st.sampled_from(_WORDS), max_size=2))),
+        max_ngram=draw(st.integers(1, 3)),
+    )
+
+
+def _build_outcome(build, docs, cfg):
+    """Everything build_corpus returns or raises, in comparable form."""
+    try:
+        corpus, vocab = build(docs, cfg)
+    except (ValueError, AllDocumentsFiltered) as exc:
+        return type(exc), str(exc)
+    c = corpus.counts
+    return (
+        vocab.terms,
+        c.shape,
+        [(a.dtype.str, a.tobytes()) for a in (c.indptr, c.indices, c.data)],
+        (corpus.author_of.dtype.str, corpus.author_of.tobytes()),
+        corpus.author_names,
+        corpus.doc_ids,
+    )
+
+
+class TestMatchesLoopOracle:
+    def test_tokenize_keeps_first_occurrence_order(self):
+        counts = tokenize("b a b a c", max_ngram=3)
+        assert list(counts.items()) == list(_oracles.tokenize("b a b a c", 3).items())
+        assert list(counts) == ["b", "a", "c", "b a", "a b", "a c",
+                                "b a b", "a b a", "b a c"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(_raw_documents(), _preprocess_configs())
+    @example([], PreprocessConfig())
+    @example(_docs([("x", "a b"), ("y", "a")]) + [RawDocument("d0", "z", "c")],
+             PreprocessConfig())
+    @example(_docs([("x", "a b"), ("", "a")]), PreprocessConfig())
+    @example(_docs([("x", "a b"), ("y", "a")]),
+             PreprocessConfig(min_docs_per_author=2))
+    @example(_docs([("x", "a b"), ("y", "a c")]),
+             PreprocessConfig(min_doc_frequency=0.0, max_doc_frequency=1.0,
+                              min_authors_per_term=3))
+    @example(_docs([("x", "a b a"), ("y", "a b c"), ("x", "b")]),
+             PreprocessConfig(min_doc_frequency=1 / 3, max_doc_frequency=2 / 3,
+                              min_authors_per_term=2, max_ngram=2))
+    def test_build_corpus_matches_loop_oracle(self, docs, cfg):
+        for d in docs:
+            expected = _oracles.tokenize(d.text, cfg.max_ngram, cfg.stopwords)
+            got = tokenize(d.text, cfg.max_ngram, cfg.stopwords)
+            assert list(got.items()) == list(expected.items())
+        assert (_build_outcome(build_corpus, docs, cfg)
+                == _build_outcome(_oracles.build_corpus, docs, cfg))
 
 
 class TestSparseCorpusValidation:
