@@ -3,13 +3,13 @@ likelihood-ratio influence diagnostic."""
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 
+from . import fitio
 from .tbip import log_likelihood_doc, tbip_rate
 
 
@@ -180,25 +180,15 @@ def expected_count_ratio(fit, topic, term, x_lo, x_hi):
 
 def save_ideal_points_csv(path, names, values):
     """(name, score) rows, the plotting format for ideal point figures."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "score"])
-        for name, value in zip(names, values):
-            writer.writerow([name, repr(float(value))])
+    fitio.save_named_values(path, ["name", "score"], names, values)
 
 
 def load_ideal_points_csv(path):
     """Read (name, score) rows; returns (names, scores)."""
-    names, scores = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0] == "name":
-                continue
-            names.append(row[0])
-            scores.append(float(row[1]))
+    names, scores = fitio.load_named_values(path, ["name", "score"])
     if not names:
         raise ValueError(f"{path} lists no scores")
-    return names, np.asarray(scores)
+    return names, scores
 
 
 def match_by_name(fit_names, fit_values, ref_names, ref_values):

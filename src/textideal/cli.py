@@ -335,10 +335,11 @@ def cmd_analyze(args):
         print(f"pearson {abs(pearson):.3f}  spearman {abs(spearman):.3f}")
         outdir.mkdir(parents=True, exist_ok=True)
         matched = [n for n in names if n in set(ref_names)]
-        with open(outdir / "comparison.csv", "w", encoding="utf-8") as fh:
-            fh.write("name,fit_score,reference_score\n")
+        with open(outdir / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["name", "fit_score", "reference_score"])
             for n, fa, fb in zip(matched, a, b):
-                fh.write(f"{n},{fa!r},{fb!r}\n")
+                writer.writerow([n, repr(float(fa)), repr(float(fb))])
         metrics = {"pearson": pearson, "spearman": spearman,
                    "abs_pearson": abs(pearson), "abs_spearman": abs(spearman),
                    "n": int(a.size)}

@@ -21,6 +21,8 @@ import re
 import numpy as np
 import scipy.sparse as sp
 
+from .fitio import load_named_values, save_named_values
+
 # Letters only: digits, underscores and punctuation never form tokens.
 _TOKEN_RE = re.compile(r"[^\W\d_]+")
 
@@ -302,7 +304,14 @@ def read_documents_jsonl(path):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path}:{line_no}: invalid JSON: {exc.msg} at column {exc.colno}"
+                ) from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}:{line_no}: expected a JSON object")
             try:
                 docs.append(
                     RawDocument(str(rec["id"]), str(rec["author"]), str(rec["text"]))
@@ -411,20 +420,9 @@ def load_corpus(indir):
 
 
 def save_weights(path, author_names, weights):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["author_name", "weight"])
-        for name, w in zip(author_names, weights):
-            writer.writerow([name, repr(float(w))])
+    save_named_values(path, ["author_name", "weight"], author_names, weights)
 
 
 def load_weights(path):
     """Return (author_names, weights) from a weights CSV."""
-    names, weights = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0] == "author_name":
-                continue
-            names.append(row[0])
-            weights.append(float(row[1]))
-    return names, np.asarray(weights)
+    return load_named_values(path, ["author_name", "weight"])

@@ -6,14 +6,18 @@ factor gives
 
     u = mu + sigma * z,   sigma = exp(log_sigma),
 
-and the sample s = u for real latents, or s = exp(u) for positive ones
-(`positive=True`, a lognormal factor). The single-draw objective estimate is
+and the model's sample s = u for real latents, or s = exp(u) for positive
+ones (`positive=True`, a lognormal factor). The objective is taken in u for
+every factor, as in ADVI (Kucukelbir et al. 2017): priors are densities over
+u (the Gamma prior carries the Jacobian of s = exp(u)) and log q is Gaussian
+in u. The single-draw objective estimate is
 
-    elbo(z) = log p(s) + (N / |batch|) * loglik(batch | s) - log q(s).
+    elbo(z) = log p(u) + (N / |batch|) * loglik(batch | s) - log q(u).
 
 Gradients are exact derivatives of that estimate with z held fixed: models
-supply d loglik / d sample and the engine applies the chain rule through the
-reparameterization, the priors and the entropy term. `finite_difference`
+supply d loglik / d u (s * d loglik / d s for positive factors), and one
+chain rule through u serves every factor. Nothing takes log s, so a sample
+that underflows to 0 leaves the objective finite. `finite_difference`
 provides the independent check. Updates use Adam (gradient ascent).
 """
 
@@ -59,45 +63,17 @@ class Family:
     def sigma(self):
         return np.exp(self.log_sigma)
 
-    def sample(self, z):
-        """Deterministic transform of standard noise into a factor sample."""
+    def unconstrained(self, z):
+        """Deterministic transform of standard noise into u = mu + sigma * z."""
         z = np.asarray(z)
         if z.shape != self.mu.shape:
             raise ValueError(f"noise shape {z.shape} != parameter shape {self.mu.shape}")
-        u = self.mu + self.sigma * z
-        return np.exp(u) if self.positive else u
+        return self.mu + self.sigma * z
 
-    def sample_partials(self, z, s):
-        """(d s / d mu, d s / d log_sigma) at the reparameterized sample."""
-        if self.positive:
-            return s, s * z * self.sigma
-        return np.ones_like(self.mu), z * self.sigma
-
-    def log_density(self, s):
-        base = -0.5 * LOG_2PI - self.log_sigma
-        if not self.positive:
-            t = (s - self.mu) / self.sigma
-            return float(np.sum(base - 0.5 * t * t))
-        if np.any(s <= 0):
-            raise ValueError("lognormal density evaluated at a nonpositive point")
-        ls = np.log(s)
-        t = (ls - self.mu) / self.sigma
-        # -log(s) is the Jacobian of the log transform.
-        return float(np.sum(base - ls - 0.5 * t * t))
-
-    def log_density_reparam(self, z):
-        """log q at the reparameterized sample; (u - mu)/sigma collapses to z."""
-        base = -0.5 * LOG_2PI - self.log_sigma
-        if self.positive:
-            base = base - (self.mu + self.sigma * z)
-        return float(np.sum(base - 0.5 * z * z))
-
-    def log_density_grads(self, z):
-        """Total d log q(s(phi, z)) / d phi with z fixed: (d mu, d log_sigma)."""
-        if self.positive:
-            # log q(s(z)) = -log_sigma - (mu + sigma z) - z^2/2 - log(2 pi)/2
-            return -np.ones_like(self.mu), -1.0 - z * self.sigma
-        return np.zeros_like(self.mu), -np.ones_like(self.log_sigma)
+    def log_density(self, u):
+        """log q at the unconstrained value u, a Gaussian for every factor."""
+        t = (u - self.mu) / self.sigma
+        return float(np.sum(-0.5 * LOG_2PI - self.log_sigma - 0.5 * t * t))
 
     def posterior_mean(self):
         if self.positive:
@@ -124,7 +100,7 @@ def gaussian_families(shapes, rng):
 
 
 class GammaPrior:
-    """Independent Gamma(shape, rate) prior on a positive latent array."""
+    """Independent Gamma(shape, rate) prior on a positive latent s = exp(u)."""
 
     def __init__(self, shape, rate):
         if shape <= 0 or rate <= 0:
@@ -132,16 +108,13 @@ class GammaPrior:
         self.shape = float(shape)
         self.rate = float(rate)
 
-    def log_prob(self, s):
-        if np.any(s <= 0):
-            raise ValueError("nonpositive sample under a Gamma prior")
+    def log_prob(self, u):
+        """Log density of u = log s, the Jacobian u included."""
         a, b = self.shape, self.rate
-        return float(
-            np.sum(a * math.log(b) - gammaln(a) + (a - 1.0) * np.log(s) - b * s)
-        )
+        return float(np.sum(a * math.log(b) - gammaln(a) + a * u - b * np.exp(u)))
 
-    def dlog_prob(self, s):
-        return (self.shape - 1.0) / s - self.rate
+    def dlog_prob(self, u):
+        return self.shape - self.rate * np.exp(u)
 
 
 class NormalPrior:
@@ -185,7 +158,13 @@ class VariationalState:
         }
 
     def reparameterize(self, noise):
-        return {name: self.families[name].sample(noise[name]) for name in self.names}
+        """(values, samples): each factor's unconstrained u = mu + sigma * z
+        and the model's sample, exp(u) for positive factors and u otherwise."""
+        values, samples = {}, {}
+        for name, fam in self.families.items():
+            values[name] = u = fam.unconstrained(noise[name])
+            samples[name] = np.exp(u) if fam.positive else u
+        return values, samples
 
     def parameters(self):
         """Live parameter arrays keyed by '<name>.mu' / '<name>.log_sigma'."""
@@ -204,15 +183,23 @@ class VariationalState:
         return {name: fam.posterior_mean() for name, fam in self.families.items()}
 
 
-def entropy_and_prior(state, samples):
-    """(log prior, log q) of the state's factors at the given samples."""
-    log_prior = sum(
-        state.priors[name].log_prob(samples[name]) for name in state.names
-    )
-    log_q = sum(
-        state.families[name].log_density(samples[name]) for name in state.names
-    )
+def entropy_and_prior(state, values):
+    """(log prior, log q) of the state's factors at unconstrained values u."""
+    log_prior = sum(state.priors[name].log_prob(values[name]) for name in state.names)
+    log_q = sum(state.families[name].log_density(values[name]) for name in state.names)
     return log_prior, log_q
+
+
+def _estimate(state, batch, model, num_items, noise, want_grads):
+    """(objective estimate, unconstrained values, likelihood gradients, scale)."""
+    batch = np.atleast_1d(np.asarray(batch))
+    if batch.size == 0:
+        raise ValueError("batch must be non-empty")
+    values, samples = state.reparameterize(noise)
+    log_prior, log_q = entropy_and_prior(state, values)
+    loglik, lik_grads = model.loglik(samples, batch, want_grads=want_grads)
+    scale = num_items / batch.size
+    return log_prior + scale * loglik - log_q, values, lik_grads, scale
 
 
 def elbo_estimate(state, batch, model, num_items, noise):
@@ -221,16 +208,9 @@ def elbo_estimate(state, batch, model, num_items, noise):
     The likelihood over the batch is rescaled by num_items / len(batch);
     prior and entropy terms cover every factor in full.
     """
-    batch = np.atleast_1d(np.asarray(batch))
-    if batch.size == 0:
-        raise ValueError("batch must be non-empty")
-    if num_items < batch.size:
+    if num_items < np.size(batch):
         raise ValueError("num_items must be at least the batch size")
-    samples = state.reparameterize(noise)
-    log_prior, log_q = entropy_and_prior(state, samples)
-    loglik, _ = model.loglik(samples, batch, want_grads=False)
-    scale = num_items / batch.size
-    return log_prior + scale * loglik - log_q
+    return _estimate(state, batch, model, num_items, noise, want_grads=False)[0]
 
 
 def gradient(state, batch, model, num_items, noise):
@@ -239,27 +219,18 @@ def gradient(state, batch, model, num_items, noise):
     Returns {'<name>.mu': g, '<name>.log_sigma': g} plus the estimate itself
     under the key '__elbo__' (computed from the same pass).
     """
-    batch = np.atleast_1d(np.asarray(batch))
-    if batch.size == 0:
-        raise ValueError("batch must be non-empty")
-    samples = state.reparameterize(noise)
-    log_prior, log_q = entropy_and_prior(state, samples)
-    loglik, lik_grads = model.loglik(samples, batch, want_grads=True)
-    scale = num_items / batch.size
-
-    grads = {"__elbo__": log_prior + scale * loglik - log_q}
+    value, values, lik_grads, scale = _estimate(
+        state, batch, model, num_items, noise, want_grads=True
+    )
+    grads = {"__elbo__": value}
     for name in state.names:
-        fam = state.families[name]
-        s = samples[name]
-        z = noise[name]
-        ds = state.priors[name].dlog_prob(s)
+        du = state.priors[name].dlog_prob(values[name])
         g = lik_grads.get(name)
         if g is not None:
-            ds = ds + scale * g
-        dmu_s, dls_s = fam.sample_partials(z, s)
-        q_mu, q_ls = fam.log_density_grads(z)
-        grads[f"{name}.mu"] = ds * dmu_s - q_mu
-        grads[f"{name}.log_sigma"] = ds * dls_s - q_ls
+            du = du + scale * g
+        # u = mu + sigma * z, and log q contributes -d log_sigma = +1.
+        grads[f"{name}.mu"] = du
+        grads[f"{name}.log_sigma"] = du * (noise[name] * state.families[name].sigma) + 1.0
     return grads
 
 
@@ -371,12 +342,7 @@ def fit(
             total = None
             for _ in range(mc_samples):
                 noise = state.sample_noise(rng)
-                try:
-                    grads = gradient(state, batch, model, num_items, noise)
-                except ValueError as exc:
-                    # Samples drawn inside the loop can only violate a prior's
-                    # support by numeric under- or overflow.
-                    raise NonFiniteElbo(step, math.nan) from exc
+                grads = gradient(state, batch, model, num_items, noise)
                 if total is None:
                     total = grads
                 else:

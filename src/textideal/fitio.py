@@ -2,7 +2,8 @@
 
 A fit directory holds `manifest.json` (dims, config, seed and the array
 name -> shape table), one `<name>.bin` of row-major float64 per array, and
-`elbo.csv` with the recorded (step, value) trace.
+`elbo.csv` with the recorded (step, value) trace. Name-keyed scores (author
+weights, ideal points) are two-column CSVs of a name and a float.
 """
 
 from __future__ import annotations
@@ -56,3 +57,35 @@ def load_fit_dir(indir):
                     continue
                 trace.append((int(row[0]), float(row[1])))
     return arrays, manifest, trace
+
+
+def save_named_values(path, header, names, values):
+    """Write a two-field `header` row, then one (name, repr(float)) row each."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for name, value in zip(names, values):
+            writer.writerow([name, repr(float(value))])
+
+
+def load_named_values(path, header):
+    """Read (name, float) rows; returns (names, values as an array).
+
+    Only a first row whose first field is header[0] is taken as the header,
+    so that name is kept on every later row. A row without a name and a
+    number raises ValueError naming the file and the line.
+    """
+    names, values = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for i, row in enumerate(reader):
+            if not row or (i == 0 and row[0] == header[0]):
+                continue
+            try:
+                values.append(float(row[1]))
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected a name and a number, got {row!r}"
+                ) from None
+            names.append(row[0])
+    return names, np.asarray(values)

@@ -130,7 +130,8 @@ def log_likelihood_doc(y_d, rate):
 
 
 class TBIPModel:
-    """Minibatch likelihood with analytic sample gradients.
+    """Minibatch likelihood with analytic gradients: with respect to the
+    samples of eta and x, and to the logs of the theta and beta samples.
 
     Documents are grouped by author inside each batch so the rate reduces
     to one (docs x K) @ (K x V) product per author.
@@ -184,7 +185,8 @@ class TBIPModel:
                 resid = y / lam
                 resid -= 1.0
                 resid *= w
-                grad_theta[docs] = resid @ basis.T
+                # theta's gradient is with respect to log theta.
+                grad_theta[docs] = th * (resid @ basis.T)
                 # G_a = w (theta_a^T (y / lam - 1)) * basis is the gradient
                 # with respect to log beta; eta's weighs it by x_a, and
                 # x_a's is <G_a, eta>.
@@ -196,7 +198,7 @@ class TBIPModel:
                 xg_sum += g
         if not want_grads:
             return value, None
-        return value, {"theta": grad_theta, "beta": g_sum / beta, "eta": xg_sum, "x": grad_x}
+        return value, {"theta": grad_theta, "beta": g_sum, "eta": xg_sum, "x": grad_x}
 
 
 def make_state(corpus, k, theta_init, beta_init, priors, rng):

@@ -2,8 +2,8 @@
 
 Everything here is computed without touching the code paths under test:
 quadrature instead of Monte Carlo, direct density formulas instead of the
-library's family classes, and the straightforward loop forms of the fast
-kernels (one bincount per topic, scipy's logsumexp, one mask per author,
+library's family classes, the sample-space form of the engine's gradient,
+and the straightforward loop forms of the fast kernels (one bincount per topic, scipy's logsumexp, one mask per author,
 one arange per bill, one engine run per wordfish debate, one dict update
 per n-gram in preprocessing, one write per counts line).
 """
@@ -76,6 +76,79 @@ def quadrature_elbo(state, y, w, prior_a, prior_b, nodes=40):
     weight = (probs[:, None, None, None] * probs[None, :, None, None]
               * probs[None, None, :, None] * probs[None, None, None, :])
     return float(np.sum(weight * integrand))
+
+
+# The engine's objective and gradient as they were taken in sample space:
+# log p(s) and log q(s) with the -log s Jacobian on the lognormal density,
+# model gradients d loglik / d s, and the chain rule through s = exp(u).
+
+
+def gamma_log_prob(s, a, b):
+    """Gamma(a, b) log density at positive samples s."""
+    if np.any(s <= 0):
+        raise ValueError("nonpositive sample under a Gamma prior")
+    return float(np.sum(a * math.log(b) - gammaln(a) + (a - 1.0) * np.log(s) - b * s))
+
+
+def family_log_density(fam, s):
+    """log q at the sample s: normal in s, or lognormal when `fam.positive`."""
+    base = -0.5 * LOG_2PI - fam.log_sigma
+    if not fam.positive:
+        t = (s - fam.mu) / fam.sigma
+        return float(np.sum(base - 0.5 * t * t))
+    if np.any(s <= 0):
+        raise ValueError("lognormal density evaluated at a nonpositive point")
+    ls = np.log(s)
+    t = (ls - fam.mu) / fam.sigma
+    return float(np.sum(base - ls - 0.5 * t * t))
+
+
+def _prior_terms(prior, s):
+    """(log p(s), d log p / d s) for a Gamma (shape, rate) or Normal (scale) prior."""
+    if hasattr(prior, "rate"):
+        a, b = prior.shape, prior.rate
+        return gamma_log_prob(s, a, b), (a - 1.0) / s - b
+    var = prior.scale**2
+    value = float(np.sum(-0.5 * LOG_2PI - math.log(prior.scale) - 0.5 * s * s / var))
+    return value, -s / prior.scale**2
+
+
+def sample_space_gradient(state, batch, loglik, num_items, noise):
+    """The engine gradient taken in sample space.
+
+    `loglik(samples, batch)` returns (value, d loglik / d sample). Returns
+    the same keys as `engine.gradient`, '__elbo__' included.
+    """
+    batch = np.atleast_1d(np.asarray(batch))
+    samples = {}
+    for name in state.names:
+        fam = state.families[name]
+        u = fam.mu + fam.sigma * noise[name]
+        samples[name] = np.exp(u) if fam.positive else u
+    priors = {name: _prior_terms(state.priors[name], samples[name]) for name in state.names}
+    log_prior = sum(priors[name][0] for name in state.names)
+    log_q = sum(family_log_density(state.families[name], samples[name])
+                for name in state.names)
+    value, lik_grads = loglik(samples, batch)
+    scale = num_items / batch.size
+
+    grads = {"__elbo__": log_prior + scale * value - log_q}
+    for name in state.names:
+        fam = state.families[name]
+        s, z = samples[name], noise[name]
+        ds = priors[name][1]
+        g = lik_grads.get(name)
+        if g is not None:
+            ds = ds + scale * g
+        if fam.positive:
+            dmu_s, dls_s = s, s * z * fam.sigma
+            q_mu, q_ls = -np.ones_like(fam.mu), -1.0 - z * fam.sigma
+        else:
+            dmu_s, dls_s = np.ones_like(fam.mu), z * fam.sigma
+            q_mu, q_ls = np.zeros_like(fam.mu), -np.ones_like(fam.log_sigma)
+        grads[f"{name}.mu"] = ds * dmu_s - q_mu
+        grads[f"{name}.log_sigma"] = ds * dls_s - q_ls
+    return grads
 
 
 def _expected_logs(state):

@@ -1,8 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
 from textideal.analysis import (
@@ -253,6 +256,30 @@ class TestPointsIO:
         names, scores = load_ideal_points_csv(path)
         assert names == ["a", "b"]
         assert np.array_equal(scores, [-1.25, 0.5])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.text(max_size=6), st.sampled_from(
+            ["name", "score", "Smith, John", '"q"', 'x"", y', "line\nbreak", " pad "])),
+        st.floats(allow_nan=False)), min_size=1, max_size=6))
+    def test_save_load_round_trip_property(self, rows):
+        names = [n for n, _ in rows]
+        scores = np.array([v for _, v in rows], dtype=np.float64)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_ideal_points_csv(Path(tmp) / "points.csv", names, scores)
+            loaded_names, loaded = load_ideal_points_csv(Path(tmp) / "points.csv")
+        assert loaded_names == names
+        assert loaded.tobytes() == scores.tobytes()
+
+    @pytest.mark.parametrize("line", ["lonely", "b,high"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "points.csv"
+        save_ideal_points_csv(path, ["a"], np.array([1.0]))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValueError) as err:
+            load_ideal_points_csv(path)
+        assert str(err.value).startswith(f"{path}:3: ")
 
     def test_match_by_name_inner_join(self):
         a, b = match_by_name(["x", "y", "z"], np.array([1.0, 2.0, 3.0]),

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from textideal import fitio
+from textideal.analysis import save_ideal_points_csv
 from textideal.cli import main
 
 
@@ -47,6 +49,18 @@ def tbip_fit_dir(tmp_path_factory, synth_corpus_dir):
 
 
 class TestPreprocess:
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "expected a JSON object"),
+        ("{bad", "invalid JSON"),
+    ])
+    def test_malformed_jsonl_line_exits_2(self, tmp_path, caplog, line, message):
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(line + "\n", encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["preprocess", "--input", docs, "--output-dir", tmp_path / "out"])
+        assert rc == 2
+        assert f"{docs}:1: " in caplog.text and message in caplog.text
+
     def test_builds_corpus_files_and_manifest(self, tmp_path):
         docs = tmp_path / "docs.jsonl"
         lines = []
@@ -258,7 +272,38 @@ class TestAnalyze:
         assert rc == 0
         metrics = json.loads((cmp_dir / "comparison.json").read_text())
         assert metrics["abs_pearson"] > 0.999
-        assert (cmp_dir / "comparison.csv").exists()
+        with open(cmp_dir / "comparison.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["name", "fit_score", "reference_score"]
+        assert len(rows) - 1 == metrics["n"]
+        for row in rows[1:]:
+            assert len(row) == 3
+            float(row[1]), float(row[2])
+
+    def test_compare_quotes_names_and_keeps_header_words(self, tmp_path):
+        names = ["Smith, John", "name", 'Q "x"', "score"]
+        x = np.array([0.5, -1.25, 2.0, 0.125])
+        fitio.save_fit_dir(tmp_path / "fit", {"x": x}, {"author_names": names})
+        save_ideal_points_csv(tmp_path / "ref.csv", names, 2.0 * x + 1.0)
+        out = tmp_path / "cmp"
+        assert run(["analyze", "compare", "--fit", tmp_path / "fit",
+                    "--reference", tmp_path / "ref.csv", "--output-dir", out]) == 0
+        with open(out / "comparison.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[0] for row in rows] == names
+        assert [float(row[1]) for row in rows] == x.tolist()
+        assert [float(row[2]) for row in rows] == (2.0 * x + 1.0).tolist()
+        assert json.loads((out / "comparison.json").read_text())["n"] == 4
+
+    @pytest.mark.parametrize("line", ["alone", "a0,high"])
+    def test_malformed_reference_exits_2(self, tbip_fit_dir, tmp_path, caplog, line):
+        ref = tmp_path / "ref.csv"
+        ref.write_text(f"name,score\n{line}\n", encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["analyze", "compare", "--fit", tbip_fit_dir,
+                      "--reference", ref, "--output-dir", tmp_path / "out"])
+        assert rc == 2
+        assert f"{ref}:2: " in caplog.text
 
     def test_compare_disjoint_names_exits_2(self, tbip_fit_dir, tmp_path):
         ref = tmp_path / "ref.csv"

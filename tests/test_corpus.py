@@ -214,6 +214,20 @@ class TestFileFormats:
         assert docs[0] == RawDocument("d1", "sen_a", "gun violence")
         assert len(docs) == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "expected a JSON object"),
+        ('"text"', "expected a JSON object"),
+        ("{bad", "invalid JSON"),
+    ])
+    def test_malformed_jsonl_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "d1", "author": "a", "text": "t"}\n' + line + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_documents_jsonl(path)
+        assert str(err.value).startswith(f"{path}:2: ")
+        assert message in str(err.value)
+
     def test_corpus_round_trip(self, tmp_path):
         dense = [[2, 0, 1], [0, 3, 0], [1, 1, 1]]
         corpus = SparseCorpus(sp.csr_matrix(np.asarray(dense, dtype=float)), [0, 1, 0],
@@ -307,6 +321,16 @@ class TestFileFormats:
         assert names == ["a", "b"]
         assert np.array_equal(w, [0.5, 1.5])
 
+    @pytest.mark.parametrize("line", ["solo", "a,heavy"])
+    def test_malformed_weights_row_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "weights.csv"
+        save_weights(path, ["a", "b"], np.array([0.5, 1.5]))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValueError) as err:
+            load_weights(path)
+        assert str(err.value).startswith(f"{path}:4: ")
+
 
 _labels = st.text(max_size=6)
 
@@ -357,6 +381,26 @@ class TestCorpusProperties:
         assert np.array_equal(loaded.author_of, corpus.author_of)
         assert loaded.author_names == corpus.author_names
         assert loaded.doc_ids == corpus.doc_ids
+
+
+# Names CSV quoting has to handle, and the header's field names as names.
+_score_names = st.one_of(st.text(max_size=6), st.sampled_from(
+    ["author_name", "weight", "name", "score", "a,b", '"q"', 'x"", y', "line\nbreak",
+     " pad "]))
+_scores = st.floats(allow_nan=False)
+
+
+class TestWeightsCsvProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_score_names, _scores), max_size=6))
+    def test_save_load_round_trip(self, rows):
+        names = [n for n, _ in rows]
+        weights = np.array([w for _, w in rows], dtype=np.float64)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_weights(Path(tmp) / "weights.csv", names, weights)
+            loaded_names, loaded = load_weights(Path(tmp) / "weights.csv")
+        assert loaded_names == names
+        assert loaded.astype(np.float64).tobytes() == weights.tobytes()
 
 
 _WORDS = ["a", "b", "c", "d"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import quadrature_elbo
+from _oracles import gamma_log_prob, quadrature_elbo, sample_space_gradient, tbip_loglik
 from textideal import engine
 from textideal.engine import (
     AdamState,
@@ -24,26 +24,30 @@ LOG_2PI = math.log(2 * math.pi)
 class TestReparameterize:
     def test_gaussian_identity_case(self):
         fam = Family(np.zeros(3), np.zeros(3))
-        assert np.array_equal(fam.sample(np.zeros(3)), np.zeros(3))
+        assert np.array_equal(fam.unconstrained(np.zeros(3)), np.zeros(3))
 
     def test_lognormal_at_zero_noise(self):
         fam = Family(np.zeros(2), np.zeros(2), positive=True)
-        assert np.array_equal(fam.sample(np.zeros(2)), np.ones(2))
+        state = VariationalState({"s": fam}, {"s": GammaPrior(1.0, 1.0)})
+        values, samples = state.reparameterize({"s": np.zeros(2)})
+        assert np.array_equal(values["s"], np.zeros(2))
+        assert np.array_equal(samples["s"], np.ones(2))
 
     def test_gaussian_affine(self):
         fam = Family(np.array([2.0]), np.log(np.array([0.5])))
-        assert np.allclose(fam.sample(np.array([2.0])), [3.0])
+        assert np.allclose(fam.unconstrained(np.array([2.0])), [3.0])
 
     def test_shape_mismatch_raises(self):
         fam = Family(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
-            fam.sample(np.zeros(4))
+            fam.unconstrained(np.zeros(4))
 
     def test_deterministic_given_noise(self):
         rng = np.random.default_rng(0)
         fam = Family(rng.standard_normal(5), rng.standard_normal(5), positive=True)
-        z = rng.standard_normal(5)
-        assert np.array_equal(fam.sample(z), fam.sample(z))
+        state = VariationalState({"s": fam}, {"s": GammaPrior(1.0, 1.0)})
+        z = {"s": rng.standard_normal(5)}
+        assert np.array_equal(state.reparameterize(z)[1]["s"], state.reparameterize(z)[1]["s"])
 
 
 class _NullModel:
@@ -66,18 +70,22 @@ class TestEntropyAndPrior:
         assert np.isclose(log_prior, -0.5 * LOG_2PI)
 
     def test_gamma_1_1_at_one(self):
+        # Densities are over u = log s; the Jacobian log s vanishes at s = 1.
         prior = GammaPrior(1.0, 1.0)
-        assert np.isclose(prior.log_prob(np.ones(1)), -1.0)
+        assert np.isclose(prior.log_prob(np.zeros(1)), -1.0)
 
     def test_lognormal_logq_at_one(self):
         fam = Family(np.zeros(1), np.zeros(1), positive=True)
-        assert np.isclose(fam.log_density(np.ones(1)), -0.5 * LOG_2PI)
+        assert np.isclose(fam.log_density(np.zeros(1)), -0.5 * LOG_2PI)
 
-    def test_nonpositive_sample_rejected(self):
-        with pytest.raises(ValueError):
-            GammaPrior(0.3, 0.3).log_prob(np.array([-0.1]))
-        with pytest.raises(ValueError):
-            Family(np.zeros(1), np.zeros(1), positive=True).log_density(np.zeros(1))
+    def test_underflowed_sample_has_finite_density(self):
+        u = np.array([-800.0])  # exp(u) underflows to 0
+        prior = GammaPrior(0.3, 0.3)
+        assert np.exp(u)[0] == 0.0
+        assert math.isfinite(prior.log_prob(u))
+        assert np.all(np.isfinite(prior.dlog_prob(u)))
+        fam = Family(np.zeros(1), np.zeros(1), positive=True)
+        assert math.isfinite(fam.log_density(u))
 
     def test_density_matches_reparameterized_form(self):
         rng = np.random.default_rng(3)
@@ -86,8 +94,15 @@ class TestEntropyAndPrior:
             Family(rng.standard_normal(4), 0.3 * rng.standard_normal(4), positive=True),
         ):
             z = rng.standard_normal(4)
-            s = fam.sample(z)
-            assert np.isclose(fam.log_density(s), fam.log_density_reparam(z))
+            # (u - mu) / sigma collapses to z
+            z_form = np.sum(-0.5 * LOG_2PI - fam.log_sigma - 0.5 * z * z)
+            assert np.isclose(fam.log_density(fam.unconstrained(z)), z_form)
+
+    def test_gamma_density_is_sample_density_times_jacobian(self):
+        s = np.random.default_rng(8).gamma(1.0, 1.0, 6) + 0.05
+        prior = GammaPrior(0.4, 0.7)
+        expected = gamma_log_prob(s, 0.4, 0.7) + np.sum(np.log(s))
+        assert np.isclose(prior.log_prob(np.log(s)), expected, rtol=1e-12)
 
 
 def _poisson_state_and_model(seed=0, num_docs=3, num_terms=5, num_topics=2, num_authors=2):
@@ -114,8 +129,8 @@ class TestElboEstimate:
         state, model, corpus, rng = _poisson_state_and_model()
         noise = state.sample_noise(rng)
         batch = np.arange(corpus.num_docs)
-        samples = state.reparameterize(noise)
-        log_prior, log_q = entropy_and_prior(state, samples)
+        values, samples = state.reparameterize(noise)
+        log_prior, log_q = entropy_and_prior(state, values)
         lik, _ = model.loglik(samples, batch)
         value = elbo_estimate(state, batch, model, corpus.num_docs, noise)
         assert np.isclose(value, log_prior + lik - log_q)
@@ -124,8 +139,8 @@ class TestElboEstimate:
         state, model, corpus, rng = _poisson_state_and_model(seed=5)
         noise = state.sample_noise(rng)
         batch = np.array([0])
-        samples = state.reparameterize(noise)
-        log_prior, log_q = entropy_and_prior(state, samples)
+        values, _ = state.reparameterize(noise)
+        log_prior, log_q = entropy_and_prior(state, values)
         base = log_prior - log_q
         e1 = elbo_estimate(state, batch, model, 10, noise)
         e2 = elbo_estimate(state, batch, model, 20, noise)
@@ -188,7 +203,7 @@ class TestGradient:
         state.families["eta"].mu[:] = 0.0
         noise = state.sample_noise(rng)
         noise["eta"][:] = 0.0  # forces the eta sample to exactly zero
-        samples = state.reparameterize(noise)
+        _, samples = state.reparameterize(noise)
         _, grads = model.loglik(samples, np.arange(corpus.num_docs), want_grads=True)
         assert np.array_equal(grads["x"], np.zeros_like(grads["x"]))
 
@@ -204,6 +219,98 @@ class TestGradient:
                 continue
             lik_part = g1[key] - g0[key]  # 9x the unit-scale likelihood grad
             assert np.allclose(g2[key] - g0[key], lik_part * 19 / 9)
+
+
+class TestGradientMatchesSampleSpaceOracle:
+    """`gradient` in u-space against the sample-space form it replaced."""
+
+    @staticmethod
+    def _assert_bitwise(grads, expected):
+        assert set(grads) == set(expected)
+        assert grads.pop("__elbo__") == expected.pop("__elbo__")
+        for key in expected:
+            assert np.array_equal(grads[key], expected[key]), key
+
+    def test_vote_state_bitwise(self):
+        from textideal.synth import SynthSpec, sample_votes
+        from textideal.vote import VoteModel, make_state
+
+        votes, _ = sample_votes(SynthSpec(num_docs=30, num_terms=1, num_authors=8, seed=1))
+        rng = np.random.default_rng(2)
+        state = make_state(votes.num_lawmakers, votes.num_bills, rng)
+        model = VoteModel(votes)
+        for batch in (np.arange(votes.num_bills), rng.choice(votes.num_bills, 7, replace=False)):
+            noise = state.sample_noise(rng)
+            grads = gradient(state, batch, model, votes.num_bills, noise)
+            expected = sample_space_gradient(
+                state, batch, lambda s, b: model.loglik(s, b, want_grads=True),
+                votes.num_bills, noise)
+            self._assert_bitwise(grads, expected)
+
+    def test_stacked_wordfish_state_bitwise(self):
+        from textideal.baselines import WordfishModel, _StreamState
+
+        rng = np.random.default_rng(3)
+        blocks = [rng.poisson(2.0, (5, 7)).astype(float), rng.poisson(1.0, (3, 4)).astype(float)]
+        model = WordfishModel(blocks)
+        state = _StreamState(model, [np.random.default_rng([3, j]) for j in range(2)])
+        batch = np.arange(model.num_items)
+        for _ in range(3):
+            noise = state.sample_noise(None)
+            grads = gradient(state, batch, model, model.num_items, noise)
+            expected = sample_space_gradient(
+                state, batch, lambda s, b: model.loglik(s, b, want_grads=True),
+                model.num_items, noise)
+            self._assert_bitwise(grads, expected)
+
+    @pytest.mark.parametrize("seed, batch", [(11, None), (12, [2, 0]), (13, [1])])
+    def test_tbip_state_within_1e_12(self, seed, batch):
+        state, model, corpus, rng = _poisson_state_and_model(seed=seed, num_docs=5)
+        dense = corpus.counts.toarray()
+        batch = np.arange(corpus.num_docs) if batch is None else np.array(batch)
+        for _ in range(3):
+            noise = state.sample_noise(rng)
+            grads = gradient(state, batch, model, corpus.num_docs, noise)
+            expected = sample_space_gradient(
+                state, batch,
+                lambda s, b: tbip_loglik(dense, corpus.author_of, model.weights, s, b,
+                                         want_grads=True),
+                corpus.num_docs, noise)
+            assert set(grads) == set(expected)
+            for key, exp in expected.items():
+                got, exp = np.asarray(grads[key]), np.asarray(exp)
+                assert np.max(np.abs(got - exp)) <= 1e-12 * np.max(np.abs(exp)), key
+
+
+class TestUnderflow:
+    """Positive factors whose samples underflow to 0 keep the objective finite."""
+
+    @staticmethod
+    def _underflowed_state(seed):
+        state, model, corpus, rng = _poisson_state_and_model(seed=seed)
+        state.families["theta"].mu[0, 0] = -800.0
+        state.families["beta"].mu[0, 0] = -800.0
+        return state, model, corpus, rng
+
+    def test_finite_objective_and_gradients(self):
+        state, model, corpus, rng = self._underflowed_state(14)
+        noise = state.sample_noise(rng)
+        _, samples = state.reparameterize(noise)
+        assert samples["theta"][0, 0] == 0.0 and samples["beta"][0, 0] == 0.0
+        batch = np.arange(corpus.num_docs)
+        assert math.isfinite(elbo_estimate(state, batch, model, corpus.num_docs, noise))
+        grads = gradient(state, batch, model, corpus.num_docs, noise)
+        for key, g in grads.items():
+            assert np.all(np.isfinite(g)), key
+
+    def test_fit_runs_through_underflow(self):
+        state, model, corpus, rng = self._underflowed_state(15)
+        trace = engine.fit(state, model, max_steps=20, batch_size=2, rng=rng,
+                           elbo_report_interval=1)
+        assert len(trace) == 20
+        assert all(math.isfinite(value) for _, value in trace)
+        for arr in state.parameters().values():
+            assert np.all(np.isfinite(arr))
 
 
 class TestAdam:
@@ -286,3 +393,17 @@ class TestFitLoop:
             engine.fit(state, ExplodingModel(), max_steps=5, batch_size=1,
                        rng=np.random.default_rng(0))
         assert err.value.step >= 1
+
+    def test_model_value_error_propagates(self):
+        from textideal.baselines import WordfishModel
+
+        model = WordfishModel([np.ones((3, 2))])
+        rng = np.random.default_rng(0)
+        state = VariationalState(
+            engine.gaussian_families({"alpha": 3, "psi": 2, "b": 2, "x": 3}, rng),
+            {name: NormalPrior(1.0) for name in ("alpha", "psi", "b", "x")},
+        )
+        # A subsampled batch is a caller error for the full-batch model, not
+        # a non-finite objective.
+        with pytest.raises(ValueError, match="full-batch"):
+            engine.fit(state, model, max_steps=2, batch_size=2, rng=rng)

@@ -131,6 +131,10 @@ class TestLoglikMatchesLoopOracle:
                                            doc_idx, want_grads=True)
         _assert_close_rel(value, exp_value)
         assert set(grads) == set(exp_grads)
+        # theta and beta gradients are with respect to their logs: the
+        # oracle's sample-space gradient times the sample.
+        for name in ("theta", "beta"):
+            exp_grads[name] = exp_grads[name] * samples[name]
         for name in exp_grads:
             _assert_close_rel(grads[name], exp_grads[name])
         value_only, none = model.loglik(samples, doc_idx, want_grads=False)
@@ -189,12 +193,12 @@ class TestPinnedTiltMatchesFactorization:
         batch = np.arange(corpus.num_docs)
         full = engine.elbo_estimate(state, batch, model, corpus.num_docs, noise)
 
-        samples = state.reparameterize(noise)
+        values, samples = state.reparameterize(noise)
         pinned_terms = 0.0
         for name in ("eta", "x"):
             fam = state.families[name]
-            pinned_terms += state.priors[name].log_prob(samples[name])
-            pinned_terms -= fam.log_density(samples[name])
+            pinned_terms += state.priors[name].log_prob(values[name])
+            pinned_terms -= fam.log_density(values[name])
 
         theta, beta = samples["theta"], samples["beta"]
         rates = weights[corpus.author_of][:, None] * (theta @ beta)
@@ -203,10 +207,10 @@ class TestPinnedTiltMatchesFactorization:
 
         pf_lik = float(np.sum(dense * np.log(rates) - rates - gammaln(dense + 1.0)))
         pf_part = (
-            state.priors["theta"].log_prob(theta)
-            + state.priors["beta"].log_prob(beta)
-            - state.families["theta"].log_density(theta)
-            - state.families["beta"].log_density(beta)
+            state.priors["theta"].log_prob(values["theta"])
+            + state.priors["beta"].log_prob(values["beta"])
+            - state.families["theta"].log_density(values["theta"])
+            - state.families["beta"].log_density(values["beta"])
             + pf_lik
         )
         # rates with a vanishing tilt agree to float precision, not bitwise
