@@ -118,34 +118,20 @@ class WordfishModel:
 
     Each block is an independent wordfish: its authors take the next
     contiguous slice of the stacked `alpha` and `x`, its terms the next
-    slice of `psi` and `b`. Element-wise work runs once over every cell of
-    every block; each block's sums and products run on a C-contiguous
-    (authors, terms) view, so a block's value and gradients are bitwise
-    those of a model built on that block alone. The model is full-batch:
-    `author_idx` must list every stacked author in order.
+    slice of `psi` and `b`. `loglik` loops over the blocks and runs each
+    block's element-wise work and reductions on its own C-contiguous
+    (authors, terms) count array, so a block's value and gradients are
+    bitwise those of a model built on that block alone. The model is
+    full-batch: `author_idx` must list every stacked author in order.
     """
 
     def __init__(self, blocks):
-        blocks = [np.asarray(c, dtype=np.float64) for c in blocks]
-        self.shapes = [c.shape for c in blocks]
+        self.blocks = [np.ascontiguousarray(c, dtype=np.float64) for c in blocks]
+        self.shapes = [c.shape for c in self.blocks]
         self.num_items = sum(n for n, _ in self.shapes)
         self.author_slices = _runs([n for n, _ in self.shapes])
         self.term_slices = _runs([v for _, v in self.shapes])
-        self.cell_slices = _runs([c.size for c in blocks])
-        # Cells in block order, row-major within a block: author a owns a
-        # run of its block's width, so per-author values spread by np.repeat.
-        self.counts = np.concatenate([c.ravel() for c in blocks])
-        self._row_width = np.concatenate(
-            [np.full(n, v, dtype=np.int64) for n, v in self.shapes]
-        )
-        self._term_of_cell = np.concatenate(
-            [np.tile(np.arange(sl.start, sl.stop), n)
-             for sl, (n, _) in zip(self.term_slices, self.shapes)]
-        )
-        self._lgamma_const = [gammaln(c + 1.0).sum(axis=1).sum() for c in blocks]
-
-    def _block(self, flat, k):
-        return flat[self.cell_slices[k]].reshape(self.shapes[k])
+        self._lgamma_const = [gammaln(c + 1.0).sum(axis=1).sum() for c in self.blocks]
 
     def loglik(self, samples, author_idx, want_grads=False):
         if not np.array_equal(author_idx, np.arange(self.num_items)):
@@ -154,25 +140,22 @@ class WordfishModel:
         psi = samples["psi"]
         b = samples["b"]
         x = samples["x"]
-        w = self._row_width
-        t = (np.repeat(alpha, w) + psi[self._term_of_cell]
-             + np.repeat(x, w) * b[self._term_of_cell])
-        lam = np.exp(t)
-        cell = self.counts * t - lam
-        value = sum(
-            float(np.sum(self._block(cell, k)) - self._lgamma_const[k])
-            for k in range(len(self.shapes))
-        )
+        value = 0.0
         grads = None
         if want_grads:
-            g = self.counts - lam
             grads = {name: np.empty_like(samples[name]) for name in ("alpha", "psi", "b", "x")}
-            for k, (rows, terms) in enumerate(zip(self.author_slices, self.term_slices)):
-                gk = self._block(g, k)
-                grads["alpha"][rows] = gk.sum(axis=1)
-                grads["x"][rows] = gk @ b[terms]
-                grads["psi"][terms] = gk.sum(axis=0)
-                grads["b"][terms] = gk.T @ x[rows]
+        for y, const, rows, terms in zip(
+            self.blocks, self._lgamma_const, self.author_slices, self.term_slices
+        ):
+            t = alpha[rows, None] + psi[terms] + x[rows, None] * b[terms]
+            lam = np.exp(t)
+            value += float(np.sum(y * t - lam) - const)
+            if want_grads:
+                g = y - lam
+                grads["alpha"][rows] = g.sum(axis=1)
+                grads["x"][rows] = g @ b[terms]
+                grads["psi"][terms] = g.sum(axis=0)
+                grads["b"][terms] = g.T @ x[rows]
         return value, grads
 
 

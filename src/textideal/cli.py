@@ -204,8 +204,11 @@ def cmd_train(args):
         init = None
         if args.pretrain_dir:
             arrays, manifest, _ = fitio.load_fit_dir(_require_file(args.pretrain_dir))
+            pretrain_config = manifest.get("config", {})
+            if pretrain_config.get("model") != "pf":
+                raise _CliError(EXIT_VALIDATION, f"{args.pretrain_dir} is not a pf fit")
             # pf fits that predate the recorded transform always used raw counts.
-            if manifest.get("config", {}).get("use_log_transform", False) != use_log:
+            if pretrain_config.get("use_log_transform", False) != use_log:
                 raise _CliError(EXIT_VALIDATION, f"{args.pretrain_dir} was pretrained "
                                 f"with a count transform other than use_log_transform={use_log}")
             init = (arrays["theta"], arrays["beta"])
@@ -228,23 +231,10 @@ def cmd_train(args):
     # wordshoal
     if not args.debates:
         raise _CliError(EXIT_VALIDATION, "wordshoal needs --debates LABELS.csv")
-    labels_by_doc = {}
     path = _require_file(args.debates)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0] == "doc_index":
-                continue
-            try:
-                doc, label = int(row[0]), row[1]
-            except (ValueError, IndexError):
-                raise _CliError(EXIT_VALIDATION, f"{path} line {reader.line_num}: "
-                                "expected doc_index,debate_id") from None
-            if doc in labels_by_doc:
-                raise _CliError(EXIT_VALIDATION, f"{path} repeats doc_index {doc}")
-            labels_by_doc[doc] = label
+    fields_by_doc = corpus_mod.read_doc_index_csv(path, "debate_id")
     try:
-        labels = [labels_by_doc[d] for d in range(built.num_docs)]
+        labels = [fields_by_doc[d][0] for d in range(built.num_docs)]
     except KeyError as exc:
         raise _CliError(EXIT_VALIDATION,
                         f"debate labels missing doc_index {exc.args[0]}") from None

@@ -348,6 +348,34 @@ def load_vocabulary(indir):
         return Vocabulary(line.rstrip("\n") for line in fh if line.rstrip("\n"))
 
 
+def read_doc_index_csv(path, columns):
+    """Rows of a CSV keyed by their leading integer doc_index.
+
+    Returns {doc_index: the row's later fields}. Only a first row whose
+    first field is `doc_index` is taken as the header; blank rows are
+    skipped. A row without an integer doc_index and at least one more
+    field, or one that repeats a doc_index, raises ValueError naming the
+    file and the line; `columns` describes the later fields in the message.
+    """
+    fields_by_doc = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for i, row in enumerate(reader):
+            if not row or (i == 0 and row[0] == "doc_index"):
+                continue
+            where = f"{path} line {reader.line_num}"
+            try:
+                doc = int(row[0])
+            except ValueError:
+                doc = None
+            if doc is None or len(row) < 2:
+                raise ValueError(f"{where}: expected doc_index,{columns}")
+            if doc in fields_by_doc:
+                raise ValueError(f"{where}: repeats doc_index {doc}")
+            fields_by_doc[doc] = row[1:]
+    return fields_by_doc
+
+
 _COUNTS_DTYPE = np.dtype([("doc", np.int64), ("term", np.int64), ("count", np.float64)])
 
 
@@ -380,33 +408,17 @@ def load_corpus(indir):
     indir = Path(indir)
     vocab = load_vocabulary(indir)
 
-    author_by_doc = {}
-    id_by_doc = {}
-    with open(indir / AUTHORS_FILE, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0] == "doc_index":
-                continue
-            where = f"{indir / AUTHORS_FILE} line {reader.line_num}"
-            try:
-                doc, author = int(row[0]), row[1]
-            except (ValueError, IndexError):
-                raise ValueError(f"{where}: expected doc_index,author_name[,doc_id]") from None
-            if doc in author_by_doc:
-                raise ValueError(f"{where}: repeats doc_index {doc}")
-            author_by_doc[doc] = author
-            if len(row) > 2:
-                id_by_doc[doc] = row[2]
-    if not author_by_doc:
-        raise ValueError(f"{indir / AUTHORS_FILE} lists no documents")
-    num_docs = max(author_by_doc) + 1
-    if sorted(author_by_doc) != list(range(num_docs)):
-        raise ValueError(f"{indir / AUTHORS_FILE} has gaps in doc_index")
-    author_names = sorted(set(author_by_doc.values()))
+    authors_path = indir / AUTHORS_FILE
+    fields_by_doc = read_doc_index_csv(authors_path, "author_name[,doc_id]")
+    if not fields_by_doc:
+        raise ValueError(f"{authors_path} lists no documents")
+    num_docs = max(fields_by_doc) + 1
+    if sorted(fields_by_doc) != list(range(num_docs)):
+        raise ValueError(f"{authors_path} has gaps in doc_index")
+    doc_rows = [fields_by_doc[d] for d in range(num_docs)]
+    author_names = sorted({fields[0] for fields in doc_rows})
     author_index = {a: s for s, a in enumerate(author_names)}
-    author_of = np.array(
-        [author_index[author_by_doc[d]] for d in range(num_docs)], dtype=np.int64
-    )
+    author_of = np.array([author_index[fields[0]] for fields in doc_rows], dtype=np.int64)
 
     rows, cols, vals = _read_counts(indir / COUNTS_FILE)
     counts = sp.csr_matrix(
@@ -415,7 +427,7 @@ def load_corpus(indir):
     # Building the CSR matrix sums repeated (doc, term) lines into one entry.
     if counts.nnz != len(vals):
         raise ValueError(f"{indir / COUNTS_FILE} repeats a (doc, term) pair")
-    doc_ids = [id_by_doc.get(d, f"doc{d}") for d in range(num_docs)]
+    doc_ids = [fields[1] if len(fields) > 1 else f"doc{d}" for d, fields in enumerate(doc_rows)]
     return SparseCorpus(counts, author_of, author_names, doc_ids), vocab
 
 

@@ -68,6 +68,10 @@ class TrainConfig:
             raise ValueError("k must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
+        if self.elbo_report_interval < 1:
+            raise ValueError("elbo_report_interval must be >= 1")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
 
@@ -301,8 +305,15 @@ def save_fit(fit, outdir):
 
 
 def load_fit(indir):
-    """Load a FitResult from a fit directory."""
+    """Load a FitResult from a fit directory.
+
+    Raises ValueError naming the directory when it lacks a TBIP array, as a
+    fit of another model does.
+    """
     arrays, manifest, trace = fitio.load_fit_dir(indir)
+    missing = [name for name in ("theta", "beta", "eta", "x") if name not in arrays]
+    if missing:
+        raise ValueError(f"{indir} is not a tbip fit: missing arrays {', '.join(missing)}")
     return FitResult(
         theta_hat=arrays["theta"],
         beta_hat=arrays["beta"],

@@ -122,8 +122,8 @@ def make_state(num_lawmakers, num_bills, rng):
 def train_vote(votes, cfg):
     """Fit vote ideal points; returns (x_hat, alpha_hat, eta_hat, trace).
 
-    Full-batch by default; setting cfg.batch_size below the bill count
-    subsamples bills with the standard likelihood rescaling.
+    Full-batch when cfg.batch_size is at least the bill count; a smaller
+    batch_size subsamples bills with the standard likelihood rescaling.
     """
     if np.bincount(votes.lawmaker_idx, minlength=votes.num_lawmakers).min() < 1:
         raise ValueError("every lawmaker needs at least one recorded vote")
@@ -132,12 +132,11 @@ def train_vote(votes, cfg):
     rng = np.random.default_rng(cfg.seed)
     state = make_state(votes.num_lawmakers, votes.num_bills, rng)
     model = VoteModel(votes)
-    batch = min(cfg.batch_size, votes.num_bills) if cfg.batch_size else votes.num_bills
     trace = engine.fit(
         state,
         model,
         max_steps=cfg.max_steps,
-        batch_size=batch,
+        batch_size=cfg.batch_size,
         rng=rng,
         adam=AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps),
         mc_samples=cfg.mc_samples,

@@ -253,11 +253,16 @@ class TestStackedStageOne:
 
     def test_block_gradients_match_single_model(self):
         rng = np.random.default_rng(7)
-        blocks = [rng.poisson(2.0, shape).astype(float) for shape in [(3, 5), (1, 4), (4, 2)]]
+        # Includes one-author (1, v) and one-term (n, 1) blocks.
+        shapes = [(3, 5), (1, 4), (4, 2), (1, 6), (5, 1)]
+        blocks = [rng.poisson(2.0, shape).astype(float) for shape in shapes]
         model = WordfishModel(blocks)
+        num_authors = sum(n for n, _ in shapes)
+        num_terms = sum(v for _, v in shapes)
         samples = {name: rng.standard_normal(size) for name, size in
-                   [("alpha", 8), ("psi", 11), ("b", 11), ("x", 8)]}
-        value, grads = model.loglik(samples, np.arange(8), want_grads=True)
+                   [("alpha", num_authors), ("psi", num_terms), ("b", num_terms),
+                    ("x", num_authors)]}
+        value, grads = model.loglik(samples, np.arange(num_authors), want_grads=True)
         total = 0.0
         for counts, rows, terms in zip(blocks, model.author_slices, model.term_slices):
             part = {"alpha": samples["alpha"][rows], "psi": samples["psi"][terms],

@@ -48,6 +48,14 @@ def tbip_fit_dir(tmp_path_factory, synth_corpus_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def wordfish_fit_dir(tmp_path_factory, synth_corpus_dir):
+    out = tmp_path_factory.mktemp("wordfish")
+    assert run(["train", "wordfish", "--data", synth_corpus_dir, "--output-dir", out,
+                "--steps", "20", "--seed", "0"]) == 0
+    return out
+
+
 class TestPreprocess:
     @pytest.mark.parametrize("line, message", [
         ("[1, 2]", "expected a JSON object"),
@@ -198,6 +206,31 @@ class TestTrain:
         assert str(data / "authors.csv") in caplog.text and message in caplog.text
         assert not (tmp_path / "pf" / "run_manifest.json").exists()
 
+    @pytest.mark.parametrize("model, flags", [
+        ("tbip", ["--steps", "0"]),
+        ("tbip", ["--report-interval", "0"]),
+        ("wordfish", ["--report-interval", "0"]),
+        ("wordfish", ["--steps", "-1"]),
+    ])
+    def test_step_bounds_below_one_exit_2(self, synth_corpus_dir, tmp_path, model, flags):
+        out = tmp_path / "fit"
+        rc = run(["train", model, "--data", synth_corpus_dir, "--output-dir", out,
+                  "--k", "2", "--batch", "64", "--steps", "3", "--log-counts", "off",
+                  "--pretrain-sweeps", "2", *flags])
+        assert rc == 2
+        assert not (out / "run_manifest.json").exists()
+
+    def test_pretrain_dir_from_another_model_exits_2(self, synth_corpus_dir, wordfish_fit_dir,
+                                                     tmp_path, caplog):
+        out = tmp_path / "warm"
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["train", "tbip", "--data", synth_corpus_dir, "--output-dir", out,
+                      "--k", "2", "--batch", "64", "--steps", "5", "--log-counts", "off",
+                      "--pretrain-dir", wordfish_fit_dir])
+        assert rc == 2
+        assert str(wordfish_fit_dir) in caplog.text
+        assert not (out / "run_manifest.json").exists()
+
     def test_wordshoal_without_labels_exits_2(self, synth_corpus_dir, tmp_path):
         rc = run(["train", "wordshoal", "--data", synth_corpus_dir,
                   "--output-dir", tmp_path / "x", "--steps", "10"])
@@ -343,6 +376,20 @@ class TestAnalyze:
                     "--output-dir", out, "--doc", "3"]) == 0
         doc = json.loads((out / "influence.json").read_text())
         assert doc["doc_id"] == "speech-003"
+
+    @pytest.mark.parametrize("report, flags", [
+        ("topics", []),
+        ("influence", ["--doc", "0"]),
+    ])
+    def test_fit_from_another_model_exits_2(self, wordfish_fit_dir, synth_corpus_dir,
+                                            tmp_path, caplog, report, flags):
+        out = tmp_path / "report"
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["analyze", report, "--fit", wordfish_fit_dir, "--data",
+                      synth_corpus_dir, "--output-dir", out, *flags])
+        assert rc == 2
+        assert str(wordfish_fit_dir) in caplog.text and "theta" in caplog.text
+        assert not (out / "run_manifest.json").exists()
 
     def test_influence_bad_doc_exits_2(self, tbip_fit_dir, synth_corpus_dir, tmp_path):
         rc = run(["analyze", "influence", "--fit", tbip_fit_dir, "--data",

@@ -306,6 +306,7 @@ class TestFileFormats:
         ("1", "authors.csv line 4: expected doc_index,author_name"),
         ("one,carol,d9", "authors.csv line 4: expected doc_index,author_name"),
         ("1,carol,d9", "authors.csv line 4: repeats doc_index 1"),
+        ("doc_index,author_name,doc_id", "authors.csv line 4: expected doc_index,author_name"),
     ])
     def test_malformed_authors_line_rejected(self, tmp_path, line, message):
         self._write_two_doc_corpus(tmp_path, "0 0 2\n1 1 1\n")
