@@ -214,7 +214,7 @@ def _fit_wordfish(blocks, cfg, rngs):
         max_steps=cfg.max_steps,
         batch_size=model.num_items,
         rng=None,  # full batch, and every noise draw comes from state.rngs
-        adam=AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps),
+        adam=AdamState(cfg.lr),
         mc_samples=cfg.mc_samples,
         elbo_report_interval=cfg.elbo_report_interval,
     )

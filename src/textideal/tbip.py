@@ -55,9 +55,6 @@ class TrainConfig:
     max_steps: int = 50_000
     seed: int = 0
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     mc_samples: int = 1
     use_log_transform: bool = False
     elbo_report_interval: int = 100
@@ -74,6 +71,8 @@ class TrainConfig:
             raise ValueError("elbo_report_interval must be >= 1")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError("lr must be finite and >= 0")
 
     def asdict(self):
         return dataclasses.asdict(self)
@@ -254,7 +253,7 @@ def train_tbip(corpus, cfg, priors=None, init=None):
     rng = np.random.default_rng(cfg.seed)
     state = make_state(work, cfg.k, theta0, beta0, priors, rng)
     model = TBIPModel(work, weights)
-    adam = AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    adam = AdamState(cfg.lr)
     trace = engine.fit(
         state,
         model,

@@ -138,7 +138,7 @@ def train_vote(votes, cfg):
         max_steps=cfg.max_steps,
         batch_size=cfg.batch_size,
         rng=rng,
-        adam=AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps),
+        adam=AdamState(cfg.lr),
         mc_samples=cfg.mc_samples,
         elbo_report_interval=cfg.elbo_report_interval,
     )

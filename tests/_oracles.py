@@ -284,7 +284,7 @@ def wordfish_fit(counts, cfg, rng):
     )
     trace = engine.fit(
         state, Model(), max_steps=cfg.max_steps, batch_size=num_authors, rng=rng,
-        adam=engine.AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps),
+        adam=engine.AdamState(cfg.lr),
         mc_samples=cfg.mc_samples, elbo_report_interval=cfg.elbo_report_interval,
     )
     return state.posterior_means(), trace

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import shlex
 import shutil
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from textideal import fitio
 from textideal.analysis import save_ideal_points_csv
-from textideal.cli import main
+from textideal.cli import build_parser, main
 
 
 def run(args):
@@ -212,12 +213,31 @@ class TestTrain:
         ("wordfish", ["--report-interval", "0"]),
         ("wordfish", ["--steps", "-1"]),
     ])
-    def test_step_bounds_below_one_exit_2(self, synth_corpus_dir, tmp_path, model, flags):
+    def test_step_bounds_below_one_exit_2(self, synth_corpus_dir, tmp_path, caplog,
+                                          model, flags):
         out = tmp_path / "fit"
-        rc = run(["train", model, "--data", synth_corpus_dir, "--output-dir", out,
-                  "--k", "2", "--batch", "64", "--steps", "3", "--log-counts", "off",
-                  "--pretrain-sweeps", "2", *flags])
+        model_flags = {"tbip": ["--k", "2", "--batch", "64", "--log-counts", "off",
+                                "--pretrain-sweeps", "2"], "wordfish": []}[model]
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["train", model, "--data", synth_corpus_dir, "--output-dir", out,
+                      "--steps", "3", *model_flags, *flags])
         assert rc == 2
+        field = {"--steps": "max_steps", "--report-interval": "elbo_report_interval"}[flags[0]]
+        assert f"{field} must be >= 1" in caplog.text
+        assert not (out / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("model, flags", [
+        ("wordfish", ["--lr", "-1", "--steps", "5"]),
+        ("tbip", ["--lr", "nan", "--k", "2", "--batch", "64", "--steps", "5",
+                  "--log-counts", "off", "--pretrain-sweeps", "2"]),
+    ])
+    def test_negative_or_nonfinite_lr_exits_2(self, synth_corpus_dir, tmp_path, caplog,
+                                              model, flags):
+        out = tmp_path / "fit"
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["train", model, "--data", synth_corpus_dir, "--output-dir", out, *flags])
+        assert rc == 2
+        assert "lr must be finite and >= 0" in caplog.text
         assert not (out / "run_manifest.json").exists()
 
     def test_pretrain_dir_from_another_model_exits_2(self, synth_corpus_dir, wordfish_fit_dir,
@@ -396,6 +416,36 @@ class TestAnalyze:
                   synth_corpus_dir, "--output-dir", tmp_path / "x",
                   "--doc", "100000"])
         assert rc == 2
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["train", "wordfish", "--data", "{data}", "--steps", "5", "--batch", "7"],
+        ["train", "vote", "--data", "{data}", "--steps", "5", "--k", "3"],
+        ["train", "pf", "--data", "{data}", "--pretrain-sweeps", "2", "--lr", "0.1"],
+        ["analyze", "align", "--fit", "{fit}", "--doc", "1"],
+        ["analyze", "influence", "--fit", "{fit}", "--data", "{data}"],
+    ])
+    def test_unread_flag_or_missing_required_flag_exits_2(self, synth_corpus_dir, tbip_fit_dir,
+                                                           tmp_path, argv):
+        out = tmp_path / "out"
+        argv = [a.format(data=synth_corpus_dir, fit=tbip_fit_dir) for a in argv]
+        assert run([*argv, "--output-dir", out]) == 2
+        assert not (out / "run_manifest.json").exists()
+
+    def test_help_returns_0(self, capsys):
+        assert main(["train", "tbip", "--help"]) == 0
+        assert "--pretrain-dir" in capsys.readouterr().out
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        commands = [" ".join(cmd.split()) for cmd in
+                    block.replace("\\\n", " ").splitlines() if cmd.startswith("textideal ")]
+        assert len(commands) >= 10
+        parser = build_parser()
+        for cmd in commands:
+            parser.parse_args(shlex.split(cmd)[1:])
 
 
 class TestSynth:
