@@ -421,7 +421,7 @@ def build_parser():
 
         def add(leaf, func, *parents):
             p = group.add_parser(leaf, parents=[*common, *parents])
-            p.set_defaults(func=func, run_name=f"{name} {leaf}")
+            p.set_defaults(func=func, run_name=f"{name} {leaf}", parser=p)
             return p
         return add
 
@@ -434,7 +434,7 @@ def build_parser():
     p.add_argument("--min-docs-per-author", type=int, default=1)
     p.add_argument("--stopwords", default=None, help="file with one stopword per line")
     p.add_argument("--ngrams", type=int, default=3, choices=(1, 2, 3))
-    p.set_defaults(func=cmd_preprocess, run_name="preprocess")
+    p.set_defaults(func=cmd_preprocess, run_name="preprocess", parser=p)
 
     train = family("train", "model", "fit a model and write a fit directory", output, seed)
     train("tbip", cmd_train_tbip, corpus, pretrain, descent, batch).add_argument(
@@ -474,7 +474,11 @@ def build_parser():
 def main(argv=None):
     """Run the CLI; returns the process exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            # argparse collects a subcommand's unknown flags at the top level;
+            # report them with the usage of the command that was given.
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:  # --help, or a usage error argparse has reported
         return exc.code
     logging.basicConfig(

@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import re
@@ -158,13 +157,19 @@ class SparseCorpus:
         return np.asarray(self.counts.sum(axis=1)).ravel()
 
 
+def _words(text, stopwords):
+    """Lowercased alphabetic words of `text`, stopwords removed."""
+    words = _TOKEN_RE.findall(text.lower())
+    return [w for w in words if w not in stopwords] if stopwords else words
+
+
 def tokenize(text, max_ngram=1, stopwords=frozenset()):
     """Count lowercased alphabetic n-grams in `text`.
 
     Stopwords are dropped before n-grams are formed, so phrases may bridge
     removed stopwords. N-gram tokens join their words with single spaces.
     """
-    words = [w for w in _TOKEN_RE.findall(text.lower()) if w not in stopwords]
+    words = _words(text, stopwords)
     counts = Counter()
     for n in range(1, max_ngram + 1):
         # One C-level count per order; keys keep first-occurrence order.
@@ -173,6 +178,71 @@ def tokenize(text, max_ngram=1, stopwords=frozenset()):
         # until the next full garbage collection.
         counts.update(map(" ".join, zip(*[words[k:] for k in range(n)])))
     return counts
+
+
+def _pair_codes(first, second, base):
+    """Codes first * base + second of integer pairs with 0 <= second < base.
+
+    Distinct pairs get distinct codes. Raises OverflowError when a code
+    could leave int64 instead of wrapping silently.
+    """
+    # The largest code is (max(first) + 1) * base - 1.
+    if first.size and (int(first.max()) + 1) * base > np.iinfo(np.int64).max + 1:
+        raise OverflowError("pair codes would overflow int64")
+    return first * base + second
+
+
+def _next_order(ids, words, num_words, doc_of, n):
+    """Ids of the n-grams starting at each position, from the ids of the
+    (n-1)-grams there, and the codes that spell each id.
+
+    The order-n id is the rank of the code (id of the leading (n-1)-gram,
+    id of the last word) among the distinct codes, so ids stay dense and
+    codes below (number of (n-1)-grams) x (number of words). Positions
+    whose n-gram would cross a document end get id -1.
+    """
+    starts = max(ids.size - 1, 0)
+    # Positions are grouped by document, so equal first and last documents
+    # mean the whole n-gram lies in one document.
+    valid = doc_of[:starts] == doc_of[n - 1 :]
+    codes = _pair_codes(ids[:starts][valid], words[n - 1 :][valid], num_words)
+    spelled, inverse = np.unique(codes, return_inverse=True)
+    ids = np.full(starts, -1)
+    ids[valid] = inverse
+    return ids, spelled
+
+
+def _filter_terms(ids, doc_of, doc_author, cfg):
+    """The vocabulary filters over one n-gram order.
+
+    `ids` holds the dense term id of the n-gram starting at each position
+    (-1 for none), `doc_of` each position's document and `doc_author` each
+    document's author code. Returns the (document, term, count) triples of
+    the terms kept, and their sorted ids.
+    """
+    num_ids = int(ids.max()) + 1 if ids.size else 0
+    valid = ids >= 0
+    pairs, pair_count = np.unique(
+        _pair_codes(doc_of[: ids.size][valid], ids[valid], num_ids), return_counts=True
+    )
+    pair_doc, pair_term = np.divmod(pairs, num_ids)
+    doc_freq = np.bincount(pair_term, minlength=num_ids)
+    frac = doc_freq / doc_author.size
+    # A term used by m distinct authors is in at least m documents, so the
+    # author count is only needed for terms that pass this bound.
+    keep = (
+        (cfg.min_doc_frequency <= frac)
+        & (frac <= cfg.max_doc_frequency)
+        & (doc_freq >= cfg.min_authors_per_term)
+    )
+    cand = keep[pair_term]
+    # Deduplicated by a sort: a plain np.unique hashes on numpy >= 2.3,
+    # which is many times slower here.
+    author_pairs = np.sort(_pair_codes(doc_author[pair_doc[cand]], pair_term[cand], num_ids))
+    author_pairs = author_pairs[np.diff(author_pairs, prepend=-1) != 0]
+    keep &= np.bincount(author_pairs % num_ids, minlength=num_ids) >= cfg.min_authors_per_term
+    cand = keep[pair_term]
+    return pair_doc[cand], pair_term[cand], pair_count[cand], np.flatnonzero(keep)
 
 
 def build_corpus(docs, cfg):
@@ -185,6 +255,12 @@ def build_corpus(docs, cfg):
     inclusive [min, max] band that are used by at least
     `min_authors_per_term` distinct authors; finally, documents left with
     no in-vocabulary tokens are dropped.
+
+    Terms are counted as integers: every word gets an id, and each n-gram
+    of order n > 1 is the pair (id of its leading (n-1)-gram, id of its
+    last word), re-indexed densely per order so that codes stay small.
+    Counts, document frequencies and authors per term are sorts and
+    bincounts over those ids; only vocabulary terms become strings.
 
     Raises AllDocumentsFiltered when nothing survives.
     """
@@ -205,48 +281,65 @@ def build_corpus(docs, cfg):
             f"no author has >= {cfg.min_docs_per_author} documents"
         )
 
-    token_counts = [tokenize(d.text, cfg.max_ngram, cfg.stopwords) for d in kept]
+    # A new word's id is the number of words seen before it.
+    word_ids = defaultdict()
+    word_ids.default_factory = word_ids.__len__
+    doc_words = [
+        np.fromiter(map(word_ids.__getitem__, words), np.int64, len(words))
+        for words in (_words(d.text, cfg.stopwords) for d in kept)
+    ]
+    doc_of = np.repeat(np.arange(len(kept)), [w.size for w in doc_words])
+    words = np.concatenate(doc_words)
+    del doc_words
+    author_code = {}
+    doc_author = np.array([author_code.setdefault(d.author_id, len(author_code)) for d in kept])
 
-    doc_freq = Counter(chain.from_iterable(token_counts))
-    n_docs = len(kept)
-    lo, hi = cfg.min_doc_frequency, cfg.max_doc_frequency
-    # A term used by m distinct authors is in at least m documents, so the
-    # author count is only needed for terms that pass this bound.
-    candidates = {
-        t
-        for t, c in doc_freq.items()
-        if lo <= c / n_docs <= hi and c >= cfg.min_authors_per_term
-    }
-    used_by_author = {}
-    for d, tc in zip(kept, token_counts):
-        used_by_author.setdefault(d.author_id, set()).update(tc.keys() & candidates)
-    author_freq = Counter(chain.from_iterable(used_by_author.values()))
-    vocab_terms = sorted(
-        t for t in candidates if author_freq[t] >= cfg.min_authors_per_term
-    )
-    if not vocab_terms:
+    ids, spellings, filtered = words, [], []
+    for n in range(1, cfg.max_ngram + 1):
+        if n > 1:
+            ids, spelled = _next_order(ids, words, len(word_ids), doc_of, n)
+            spellings.append(spelled)
+        filtered.append(_filter_terms(ids, doc_of, doc_author, cfg))
+
+    # Spell out the kept terms, peeling the last word off each code.
+    id_word = list(word_ids)
+    num_words = len(id_word)
+    terms = []
+    for n, (*_, term_ids) in enumerate(filtered, start=1):
+        parts = []
+        for spelled in reversed(spellings[: n - 1]):
+            term_ids, last = np.divmod(spelled[term_ids], num_words)
+            parts.append(last)
+        parts.append(term_ids)
+        terms.extend(" ".join(map(id_word.__getitem__, t))
+                     for t in zip(*(p.tolist() for p in reversed(parts))))
+    if not terms:
         raise AllDocumentsFiltered("vocabulary filters removed every term")
-    vocab = Vocabulary(vocab_terms)
+    order = sorted(range(len(terms)), key=terms.__getitem__)
+    vocab = Vocabulary(terms[i] for i in order)
 
-    # Entries go in unsorted: the CSR conversion sorts each row's columns.
+    # Column of each kept term, numbered order by order as in `terms`.
+    column = np.empty(len(terms), np.int64)
+    column[order] = np.arange(len(terms))
     rows, cols, vals = [], [], []
-    kept_docs = []
-    for d, tc in zip(kept, token_counts):
-        terms = tc.keys() & vocab.index.keys()
-        if not terms:
-            continue
-        rows.extend([len(kept_docs)] * len(terms))
-        cols.extend(map(vocab.index.__getitem__, terms))
-        vals.extend(map(tc.__getitem__, terms))
-        kept_docs.append(d)
-    if not kept_docs:
-        raise AllDocumentsFiltered("every document lost all tokens to the filters")
+    offset = 0
+    for pair_doc, pair_term, pair_count, term_ids in filtered:
+        rows.append(pair_doc)
+        cols.append(column[offset + np.searchsorted(term_ids, pair_term)])
+        vals.append(pair_count)
+        offset += term_ids.size
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    # Drop documents without in-vocabulary tokens and renumber the rest.
+    has_terms = np.bincount(rows, minlength=len(kept)) > 0
+    rows = (np.cumsum(has_terms) - 1)[rows]
+    kept_docs = [kept[i] for i in np.flatnonzero(has_terms)]
 
     author_names = sorted({d.author_id for d in kept_docs})
     author_index = {a: s for s, a in enumerate(author_names)}
     author_of = np.array([author_index[d.author_id] for d in kept_docs], dtype=np.int64)
     counts = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(kept_docs), len(vocab)), dtype=np.float64
+        (vals.astype(np.float64), (rows, cols)),
+        shape=(len(kept_docs), len(vocab)), dtype=np.float64,
     )
     corpus = SparseCorpus(
         counts, author_of, author_names, doc_ids=[d.doc_id for d in kept_docs]

@@ -12,11 +12,13 @@ phi only needs evaluating on the stored nonzeros. Each sweep can only
 increase the augmented-model objective, which `pf_elbo` evaluates with phi
 at its closed-form optimum. Used to initialize the text ideal point model.
 
-The nonzero scores E[log theta_dk] + E[log beta_kv] are the costly part of
-both passes. They are computed once per `PFState`, together with phi and
-the per-nonzero log normalizer, so `pf_elbo(state)` and the following
-`cavi_step(state)` share one evaluation. The sweep sums y * phi into its
-Gamma shapes with two sparse products instead of one bincount per topic.
+phi is never held whole: one pass over document-aligned chunks of about
+`_CHUNK_CELLS` nonzero-topic cells reduces it to the three results its
+consumers read, the per-document and per-term sums of y * phi and the
+per-nonzero log normalizer. Each `PFState` caches that pass, so
+`pf_elbo(state)` and the following `cavi_step(state)` share one
+evaluation, and memory grows with nnz and with the factors, not with
+nnz x K.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ class GammaFamily:
 class PFState:
     """Variational Gamma factors for intensities (D x K) and topics (K x V).
 
-    A state is never modified in place: its expected logs and nonzero
-    scores are cached on first use.
+    A state is never modified in place: its expected logs and the reduced
+    responsibilities of one corpus are cached on first use.
     """
 
     q_theta: GammaFamily
@@ -70,16 +72,17 @@ class PFState:
             self._cache["elogs"] = (self.q_theta.expected_log(), self.q_beta.expected_log())
         return self._cache["elogs"]
 
-    def nonzero_scores(self, corpus):
-        """(phi, log_norm) over the stored nonzeros of `corpus`.
+    def phi_sums(self, corpus):
+        """(doc_sums, term_sums, log_norm) over the stored nonzeros of `corpus`.
 
-        phi is nnz x K with rows summing to 1; log_norm is the log-sum-exp
-        of each row's scores.
+        doc_sums (D x K) and term_sums (V x K) sum y * phi over each
+        document's and each term's nonzeros in storage order; log_norm is
+        the log-sum-exp of each nonzero's scores.
         """
-        cached = self._cache.get("scores")
+        cached = self._cache.get("phi_sums")
         if cached is None or cached[0] is not corpus:
-            cached = (corpus, *_scores(*self.expected_logs(), corpus))
-            self._cache["scores"] = cached
+            cached = (corpus, *_phi_pass(*self.expected_logs(), corpus.counts))
+            self._cache["phi_sums"] = cached
         return cached[1:]
 
 
@@ -96,11 +99,34 @@ def init_state(num_docs, num_terms, num_topics, a, b, rng):
     return PFState(q_theta, q_beta, float(a), float(b))
 
 
-def _scores(elog_theta, elog_beta, corpus):
-    rows, cols, _ = corpus.entries()
+# Nonzero-topic cells per chunk of the phi pass: large enough that numpy's
+# per-call overhead stays small, small enough to stay in cache.
+_CHUNK_CELLS = 1 << 17
+
+
+def _doc_chunks(indptr, num_topics):
+    """Document ranges [d0, d1) of about _CHUNK_CELLS / num_topics nonzeros.
+
+    A document with more nonzeros than that is a chunk of its own.
+    """
+    step = max(1, _CHUNK_CELLS // num_topics)
+    num_docs = indptr.size - 1
+    d0 = 0
+    while d0 < num_docs:
+        d1 = max(int(np.searchsorted(indptr, indptr[d0] + step, side="right")) - 1, d0 + 1)
+        yield d0, d1
+        d0 = d1
+
+
+def _chunk_phi(elog_theta, elog_beta_t, rows, cols):
+    """(phi, log_norm) for nonzeros at (rows, cols), given E[log beta] as V x K.
+
+    phi is len(rows) x K with rows summing to 1; log_norm is the
+    log-sum-exp of each nonzero's scores E[log theta_dk] + E[log beta_kv].
+    """
     # Gathering rows of a contiguous V x K copy beats gathering columns of K x V.
     shifted = np.take(elog_theta, rows, axis=0)
-    shifted += np.take(np.ascontiguousarray(elog_beta.T), cols, axis=0)
+    shifted += np.take(elog_beta_t, cols, axis=0)
     top = shifted.max(axis=1, keepdims=True)
     shifted -= top
     # log_norm follows scipy's logsumexp step for step, so `pf_elbo` keeps
@@ -116,20 +142,40 @@ def _scores(elog_theta, elog_beta, corpus):
     return phi, log_norm
 
 
+def _phi_pass(elog_theta, elog_beta, counts):
+    """(doc_sums, term_sums, log_norm) for the CSR `counts`; see
+    `PFState.phi_sums`. Each output cell adds its terms in storage order,
+    as one bincount over all nonzeros would."""
+    num_docs, num_terms = counts.shape
+    num_topics = elog_theta.shape[1]
+    indptr, cols, y = counts.indptr, counts.indices, counts.data
+    elog_beta_t = np.ascontiguousarray(elog_beta.T)
+    topics = np.arange(num_topics)
+    doc_sums = np.empty((num_docs, num_topics))
+    term_sums = np.zeros(num_terms * num_topics)
+    log_norm = np.empty(y.size)
+    for d0, d1 in _doc_chunks(indptr, num_topics):
+        s, e = indptr[d0], indptr[d1]
+        starts = indptr[d0 : d1 + 1] - s
+        rows = np.repeat(np.arange(d0, d1), np.diff(starts))
+        phi, log_norm[s:e] = _chunk_phi(elog_theta, elog_beta_t, rows, cols[s:e])
+        # A document x nonzero operator carrying y: each row sums y * phi
+        # over its own nonzeros, so document-aligned chunks change nothing.
+        by_doc = sp.csr_matrix((y[s:e], np.arange(e - s), starts), shape=(d1 - d0, e - s))
+        doc_sums[d0:d1] = by_doc @ phi
+        # Terms recur across chunks: add.at adds in index order, so each
+        # term's sum keeps the storage order of all its nonzeros.
+        phi *= y[s:e, None]
+        np.add.at(term_sums, (cols[s:e, None] * num_topics + topics).ravel(), phi.ravel())
+    return doc_sums, term_sums.reshape(num_terms, num_topics), log_norm
+
+
 def cavi_step(state, corpus):
     """One full coordinate sweep; returns a new PFState."""
-    _, cols, y = corpus.entries()
-    num_docs, num_terms = corpus.counts.shape
     a, b = state.prior_shape, state.prior_rate
+    doc_sums, term_sums, _ = state.phi_sums(corpus)
 
-    phi, _ = state.nonzero_scores(corpus)
-    # Doc x nnz and term x nnz operators carrying y: each output cell sums
-    # y * phi over its nonzeros in storage order, as a bincount would.
-    nnz = np.arange(y.size)
-    by_doc = sp.csr_matrix((y, nnz, corpus.counts.indptr), shape=(num_docs, y.size))
-    by_term = sp.csr_matrix((y, (cols, nnz)), shape=(num_terms, y.size))
-
-    theta_shape = a + by_doc @ phi
+    theta_shape = a + doc_sums
     theta_rate = np.broadcast_to(
         b + state.q_beta.mean().sum(axis=1), theta_shape.shape
     ).copy()
@@ -137,7 +183,7 @@ def cavi_step(state, corpus):
 
     # C order like every other factor array: sums along an axis round
     # differently over a transposed view.
-    beta_shape = a + np.ascontiguousarray((by_term @ phi).T)
+    beta_shape = a + np.ascontiguousarray(term_sums.T)
     beta_rate = np.broadcast_to(
         (b + q_theta.mean().sum(axis=0))[:, None], beta_shape.shape
     ).copy()
@@ -160,7 +206,7 @@ def _gamma_prior_entropy(fam, elog, a, b):
 
 def pf_elbo(state, corpus):
     """Augmented-model objective with responsibilities at their optimum."""
-    _, _, y = corpus.entries()
+    y = corpus.counts.data
     a, b = state.prior_shape, state.prior_rate
     elog_theta, elog_beta = state.expected_logs()
     value = _gamma_prior_entropy(state.q_theta, elog_theta, a, b)
@@ -170,7 +216,7 @@ def pf_elbo(state, corpus):
         state.q_theta.mean().sum(axis=0) @ state.q_beta.mean().sum(axis=1)
     )
     if len(y):
-        _, log_norm = state.nonzero_scores(corpus)
+        _, _, log_norm = state.phi_sums(corpus)
         value += float(np.sum(y * log_norm) - np.sum(gammaln(y + 1.0)))
     return value
 

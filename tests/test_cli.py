@@ -433,6 +433,15 @@ class TestFlags:
         assert run([*argv, "--output-dir", out]) == 2
         assert not (out / "run_manifest.json").exists()
 
+    def test_unread_flag_reported_by_the_command(self, tmp_path, capsys):
+        rc = run(["train", "wordfish", "--data", tmp_path / "x", "--output-dir",
+                  tmp_path / "y", "--batch", "7"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: textideal train wordfish ")
+        assert "textideal train wordfish: error: unrecognized arguments: --batch 7" in err
+        assert not (tmp_path / "y").exists()
+
     def test_help_returns_0(self, capsys):
         assert main(["train", "tbip", "--help"]) == 0
         assert "--pretrain-dir" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 import gc
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from textideal.corpus import (
     save_weights,
     tokenize,
 )
+from textideal.corpus import _next_order, _pair_codes
 
 
 class TestTokenize:
@@ -405,17 +407,25 @@ class TestWeightsCsvProperties:
 
 
 _WORDS = ["a", "b", "c", "d"]
+# Variants of the four words: mixed case, digits and punctuation inside and
+# around them, and non-ASCII letters ("İ" lowercases to "i" and a combining
+# dot, which is not a letter).
+_VARIANTS = ["B", "Cd", "a1c", "7", "d.", "!", "b,a", "c-d", "é", "Éa", "ß", "aß", "İ", "bİ"]
 
 
 @st.composite
 def _raw_documents(draw):
-    """Tiny texts over four words, with case, digits and punctuation, and
-    now and then a repeated id or an empty author."""
+    """Tiny texts over four words and their variants, some shorter than any
+    n-gram and some with runs of one repeated word, and now and then a
+    repeated id or an empty author."""
     num_docs = draw(st.integers(0, 8))
     docs = []
     for d in range(num_docs):
-        tokens = draw(st.lists(st.sampled_from(_WORDS + ["B", "a1c", "d.", "!"]),
-                               max_size=10))
+        max_size = draw(st.sampled_from([2, 10]))
+        tokens = draw(st.lists(st.sampled_from(_WORDS + _VARIANTS), max_size=max_size))
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(tokens)))
+            tokens[at:at] = [draw(st.sampled_from(_WORDS))] * draw(st.integers(2, 4))
         rare = draw(st.integers(0, 99))
         doc_id = "d0" if rare == 41 else f"d{d}"
         author = "" if rare == 59 else draw(st.sampled_from(["x", "y", "z"]))
@@ -485,6 +495,65 @@ class TestMatchesLoopOracle:
             assert list(got.items()) == list(expected.items())
         assert (_build_outcome(build_corpus, docs, cfg)
                 == _build_outcome(_oracles.build_corpus, docs, cfg))
+
+
+def _traced_peak(fn, *args):
+    """(fn(*args), peak bytes traced while it ran above what was traced before)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestBuildCorpusMemory:
+    def test_peak_below_half_of_string_counters(self):
+        """Integer-coded n-grams: the traced peak stays below half of the
+        per-document string Counters' peak, with the same outcome."""
+        rng = np.random.default_rng(3)
+        letters = np.array(list("bcdfghklmnprstvz"))
+        vowels = np.array(list("aeiou"))
+        lexicon = ["".join(a + b for a, b in zip(rng.choice(letters, 3), rng.choice(vowels, 3)))
+                   for _ in range(3000)]
+        weights = 1.0 / np.arange(1, len(lexicon) + 1)
+        weights /= weights.sum()
+        docs = [
+            RawDocument(f"d{i}", f"a{i % 40}",
+                        " ".join(rng.choice(lexicon, size=rng.integers(100, 300), p=weights)))
+            for i in range(300)
+        ]
+        cfg = PreprocessConfig()
+        got, peak = _traced_peak(_build_outcome, build_corpus, docs, cfg)
+        expected, oracle_peak = _traced_peak(_build_outcome, _oracles.build_corpus, docs, cfg)
+        assert got == expected
+        assert peak < oracle_peak / 2
+
+
+class TestPairCodes:
+    def test_guard_admits_the_last_code_and_rejects_the_next(self):
+        top = np.iinfo(np.int64).max
+        codes = _pair_codes(np.array([0, 2**32 - 1]), np.array([5, 2**31 - 1]), 2**31)
+        assert codes.tolist() == [5, top]
+        with pytest.raises(OverflowError):
+            _pair_codes(np.array([0, 2**32]), np.array([5, 0]), 2**31)
+
+    def test_trigram_codes_of_a_huge_vocabulary_stay_in_range(self):
+        """Word ids near 3e9 would need codes near 2.7e28 as base**3; with
+        bigrams re-indexed densely, trigram codes stay below 2 x 3e9."""
+        num_words = 3_000_000_000
+        words = np.array([num_words - 1, 1, num_words - 2, 1, num_words - 1, 1])
+        doc_of = np.array([0, 0, 0, 0, 1, 1])
+        bigrams, spelled2 = _next_order(words, words, num_words, doc_of, 2)
+        # Bigram codes sorted: (1, W-2), (W-2, 1), (W-1, 1); the one at
+        # position 3 would cross into document 1.
+        assert bigrams.tolist() == [2, 0, 1, -1, 2]
+        assert spelled2.tolist() == [2 * num_words - 2, (num_words - 2) * num_words + 1,
+                                     (num_words - 1) * num_words + 1]
+        trigrams, spelled3 = _next_order(bigrams, words, num_words, doc_of, 3)
+        assert trigrams.tolist() == [1, 0, -1, -1]
+        assert spelled3.tolist() == [0 * num_words + 1, 2 * num_words + num_words - 2]
 
 
 class TestSparseCorpusValidation:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,14 @@ def _corpus(dense, num_authors=2):
                         [f"a{i}" for i in range(num_authors)])
 
 
+def _phi(state, corpus):
+    """phi over every stored nonzero, from the chunk-level kernel."""
+    rows, cols, _ = corpus.entries()
+    elog_theta, elog_beta = state.expected_logs()
+    phi, _ = pf._chunk_phi(elog_theta, np.ascontiguousarray(elog_beta.T), rows, cols)
+    return phi
+
+
 def _random_corpus(rng, num_docs, num_terms, lam=1.0):
     dense = rng.poisson(lam, size=(num_docs, num_terms)).astype(float)
     dense[:, 0] += 1
@@ -31,7 +40,7 @@ class TestCaviStep:
         corpus = _random_corpus(rng, 6, 9)
         state = pf.init_state(6, 9, 3, 0.3, 0.3, rng)
         rows, cols, _ = corpus.entries()
-        phi, _ = state.nonzero_scores(corpus)
+        phi = _phi(state, corpus)
         assert np.allclose(phi.sum(axis=1), 1.0)
         assert np.all(phi >= 0)
         assert np.array_equal(phi, pf_phi(state, rows, cols))
@@ -40,7 +49,7 @@ class TestCaviStep:
         rng = np.random.default_rng(1)
         corpus = _random_corpus(rng, 5, 7)
         state = pf.init_state(5, 7, 1, 0.5, 0.5, rng)
-        phi, _ = state.nonzero_scores(corpus)
+        phi = _phi(state, corpus)
         assert np.array_equal(phi, np.ones_like(phi))
         new = pf.cavi_step(state, corpus)
         row_sums = np.asarray(corpus.counts.sum(axis=1)).ravel()
@@ -65,8 +74,8 @@ def _with_empty_row(rng, num_docs, num_terms, empty_row):
 
 
 class TestMatchesLoopOracle:
-    """The shared-score sweep and objective equal the bincount/logsumexp
-    forms bit for bit, with and without scores cached by `pf_elbo`."""
+    """The chunked sweep and objective equal the bincount/logsumexp forms
+    bit for bit, with and without the pass cached by `pf_elbo`."""
 
     @pytest.mark.parametrize("num_topics", [1, 2, 5, 12])
     def test_sweeps_and_objective_bitwise(self, num_topics):
@@ -87,6 +96,36 @@ class TestMatchesLoopOracle:
                 assert np.array_equal(g, e)
             assert pf.pf_elbo(state, corpus) == pf_objective(state, rows, cols, y)
 
+    @pytest.mark.parametrize("num_topics", [1, 3, 7])
+    def test_many_chunks_bitwise(self, monkeypatch, num_topics):
+        """Chunks of a few nonzeros: they end at empty documents, one
+        document outgrows a chunk, and terms recur across chunks."""
+        monkeypatch.setattr(pf, "_CHUNK_CELLS", 24)
+        rng = np.random.default_rng(30 + num_topics)
+        nnz_per_doc = [8, 0, 25, 3, 0, 0, 5, 12, 0, 7, 1, 0]
+        dense = np.zeros((len(nnz_per_doc), 30))
+        for d, n in enumerate(nnz_per_doc):
+            dense[d, rng.choice(30, size=n, replace=False)] = rng.poisson(2.0, size=n) + 1
+        corpus = _corpus(dense)
+        indptr = corpus.counts.indptr
+        step = 24 // num_topics
+        chunks = list(pf._doc_chunks(indptr, num_topics))
+        assert len(chunks) > 2
+        assert [d for c in chunks for d in range(*c)] == list(range(len(nnz_per_doc)))
+        assert any(indptr[d1] - indptr[d0] > step for d0, d1 in chunks)
+        assert any(indptr[d1] == indptr[d1 - 1] for _, d1 in chunks[:-1])
+
+        rows, cols, y = corpus.entries()
+        state = pf.init_state(*dense.shape, num_topics, 0.3, 0.4, rng)
+        for _ in range(3):
+            assert pf.pf_elbo(state, corpus) == pf_objective(state, rows, cols, y)
+            expected = pf_sweep(state, rows, cols, y, dense.shape)
+            state = pf.cavi_step(state, corpus)
+            got = (state.q_theta.shape, state.q_theta.rate,
+                   state.q_beta.shape, state.q_beta.rate)
+            for g, e in zip(got, expected):
+                assert np.array_equal(g, e)
+
     @pytest.mark.parametrize("theta_shapes", [[1.3, 1.3, 1.3], [1.3, 0.8, 1.3]])
     def test_tied_maximal_scores(self, theta_shapes):
         """Topics with equal factors tie at the maximum score on every
@@ -101,8 +140,7 @@ class TestMatchesLoopOracle:
             0.3,
         )
         assert pf.pf_elbo(state, corpus) == pf_objective(state, rows, cols, y)
-        phi, _ = state.nonzero_scores(corpus)
-        assert np.array_equal(phi, pf_phi(state, rows, cols))
+        assert np.array_equal(_phi(state, corpus), pf_phi(state, rows, cols))
 
     def test_pretrain_matches_oracle_sweeps(self):
         rng = np.random.default_rng(21)
@@ -115,6 +153,26 @@ class TestMatchesLoopOracle:
             state = pf.PFState(pf.GammaFamily(ts, tr), pf.GammaFamily(bs, br), 0.3, 0.3)
         assert np.array_equal(theta, state.q_theta.mean())
         assert np.array_equal(beta, state.q_beta.mean())
+
+
+class TestMemory:
+    def test_sweep_and_objective_peak_stays_below_nnz_by_k(self):
+        """No nnz x K array is built: the traced peak of a sweep and an
+        objective stays below a quarter of one."""
+        rng = np.random.default_rng(8)
+        corpus = _corpus(rng.poisson(0.7, size=(400, 1000)))
+        num_topics = 32
+        phi_bytes = corpus.counts.nnz * num_topics * 8
+        assert phi_bytes >= 16 * pf._CHUNK_CELLS * 8
+        state = pf.init_state(400, 1000, num_topics, 0.3, 0.3, rng)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            pf.pf_elbo(pf.cavi_step(state, corpus), corpus)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < phi_bytes / 4
 
 
 class TestElbo:
