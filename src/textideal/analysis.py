@@ -13,7 +13,7 @@ from . import fitio
 from .tbip import log_likelihood_doc, tbip_rate
 
 
-class ZeroVariance(Exception):
+class ZeroVariance(ValueError):
     """A correlation or standardization input has no variance."""
 
 
@@ -39,7 +39,7 @@ def align(points, reference=None, reference_name=None):
     if reference is not None:
         reference = np.asarray(reference, dtype=np.float64)
         if reference.shape != points.shape:
-            raise ValueError("reference must match the points in length")
+            raise ValueError(f"reference holds {reference.size} values for {points.size} points")
         r, _ = compare(values, reference)
         if r < 0:
             values = -values
@@ -66,7 +66,7 @@ def compare(a, b):
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("inputs must be 1-D vectors of equal length")
     if a.size < 3:
-        raise ValueError("need at least three points")
+        raise ValueError(f"need at least three points, got {a.size}")
     return _pearson(a, b), _pearson(rankdata(a), rankdata(b))
 
 
@@ -99,11 +99,14 @@ def topic_report(fit, vocab, m, exact_expectation=False):
 
     Pole intensities default to the plug-in form beta_hat * exp(-+eta_hat).
     With `exact_expectation` the lognormal-Gaussian expectation is used
-    instead, which additionally needs the fitted eta scales.
+    instead, which additionally needs the fitted eta scales. Raises
+    ValueError when the fit and `vocab` differ in their number of terms.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     beta = fit.beta_hat
+    if beta.shape[1] != len(vocab):
+        raise ValueError(f"fit has {beta.shape[1]} terms but the vocabulary {len(vocab)}")
     eta = fit.eta_hat
     if exact_expectation:
         if fit.eta_sigma is None:
@@ -136,21 +139,23 @@ class InfluenceScore:
     ratio_vs_min: float
 
 
-def influence(fit, corpus, doc, weights=None):
+def influence(fit, corpus, doc):
     """Score how a document pulled its author's fitted position.
 
     Positive ratio_vs_zero marks the document as evidence for a more
     extreme position; positive ratio_vs_max / ratio_vs_min mark evidence
-    against the corresponding extreme.
+    against the corresponding extreme. Raises ValueError when the fit and
+    `corpus` differ in their number of documents, or `doc` is not one of them.
     """
     from .corpus import compute_weights
 
+    if fit.theta_hat.shape[0] != corpus.num_docs:
+        raise ValueError(f"fit has {fit.theta_hat.shape[0]} documents "
+                         f"but the corpus {corpus.num_docs}")
     if not 0 <= doc < corpus.num_docs:
-        raise ValueError(f"doc index {doc} out of range")
-    if weights is None:
-        weights = compute_weights(corpus)
+        raise ValueError(f"doc index {doc} out of range [0, {corpus.num_docs - 1}]")
     author = corpus.author_of[doc]
-    w = weights[author]
+    w = compute_weights(corpus)[author]
     y = corpus.dense_rows([doc])[0]
     theta_d = fit.theta_hat[doc]
 

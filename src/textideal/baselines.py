@@ -26,7 +26,7 @@ from . import engine
 from .engine import AdamState, Family, NormalPrior, VariationalState, gaussian_families
 
 
-class DebateTooSmall(Exception):
+class DebateTooSmall(ValueError):
     """One or more debates cannot support a wordfish fit."""
 
     def __init__(self, labels):
@@ -344,12 +344,13 @@ def _sigma_objective(params, n_obs, resid_sq):
     return -value, np.array([-dmu, -dlog_sd])
 
 
-def fit_factor(positions, sweeps=200, tol=1e-12):
+def fit_factor(positions, sweeps=200):
     """Coordinate-ascent fit of the one-factor model on a position matrix.
 
     Intercepts, loadings and positions have conjugate Gaussian updates
     given the expected noise precision; the lognormal noise factor is
-    optimized analytically inside each sweep. Every x update is exactly
+    optimized analytically inside each sweep. Sweeps stop once the
+    objective moves by at most 1e-12 of its value. Every x update is exactly
     linear in the observed positions, so a single indicator yields
     positions perfectly correlated with it. Returns (state, trace).
     """
@@ -437,7 +438,7 @@ def fit_factor(positions, sweeps=200, tol=1e-12):
 
         value = elbo()
         trace.append((sweep, value))
-        if abs(value - prev) <= tol * abs(prev):
+        if abs(value - prev) <= 1e-12 * abs(prev):
             break
         prev = value
     return state, trace

@@ -9,8 +9,10 @@ Subcommands wrap the library modules without adding numeric logic:
 
 Each command accepts only the flags it reads and returns the fields of its
 run manifest (config, seed, inputs, final objective value); `main` writes the
-manifest into the output directory of every successful run.
-Exit codes: 0 ok, 1 I/O error, 2 validation error, 3 numeric failure.
+manifest into the output directory of every successful run. Commands leave
+input checks to the library readers and estimators; `main` alone turns an
+exception into an exit code: 0 ok, 1 I/O error (a missing or unreadable
+file, logged with its path), 2 validation error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, baselines, corpus as corpus_mod, fitio, pf, synth, tbip, vote
-from .baselines import DebateTooSmall
-from .corpus import AllDocumentsFiltered
 from .engine import NonFiniteElbo
 
 log = logging.getLogger("textideal")
@@ -41,12 +41,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 MANIFEST_NAME = "run_manifest.json"
-
-
-class _CliError(Exception):
-    def __init__(self, code, message):
-        self.code = code
-        super().__init__(message)
 
 
 def config_hash(config):
@@ -76,16 +70,9 @@ def write_manifest(outdir, command, config, seed, inputs, started, final_elbo=No
     os.replace(tmp, outdir / MANIFEST_NAME)
 
 
-def _require_file(path):
-    if not Path(path).exists():
-        raise _CliError(EXIT_IO, f"input not found: {path}")
-    return Path(path)
-
-
 def _load_stopwords(path):
     if path is None:
         return frozenset()
-    _require_file(path)
     with open(path, encoding="utf-8") as fh:
         return frozenset(w.strip().lower() for w in fh if w.strip())
 
@@ -96,7 +83,7 @@ def _load_stopwords(path):
 
 
 def cmd_preprocess(args):
-    docs = corpus_mod.read_documents_jsonl(_require_file(args.input))
+    docs = corpus_mod.read_documents_jsonl(args.input)
     cfg = corpus_mod.PreprocessConfig(
         min_doc_frequency=args.min_df,
         max_doc_frequency=args.max_df,
@@ -157,7 +144,7 @@ def _save_fit(args, arrays, dims, config, trace, inputs, **extra):
 
 def cmd_train_vote(args):
     cfg = _train_config(args)
-    votes = vote.load_votes_csv(_require_file(args.data))
+    votes = vote.load_votes_csv(args.data)
     fit = vote.train_vote(votes, cfg)
     return _save_fit(
         args,
@@ -170,7 +157,7 @@ def cmd_train_vote(args):
 
 def cmd_train_pf(args):
     cfg = _train_config(args)
-    built, _ = corpus_mod.load_corpus(_require_file(args.data))
+    built, _ = corpus_mod.load_corpus(args.data)
     use_log = _resolve_log_counts(args.log_counts, built)
     work = corpus_mod.log_transform(built) if use_log else built
     theta, beta = pf.pretrain(work, cfg.k, sweeps=cfg.pretrain_sweeps, seed=cfg.seed)
@@ -186,19 +173,19 @@ def cmd_train_pf(args):
 
 def cmd_train_tbip(args):
     cfg = _train_config(args)
-    built, _ = corpus_mod.load_corpus(_require_file(args.data))
+    built, _ = corpus_mod.load_corpus(args.data)
     use_log = _resolve_log_counts(args.log_counts, built)
     cfg = dataclasses.replace(cfg, use_log_transform=use_log)
     init = None
     if args.pretrain_dir:
-        arrays, manifest, _ = fitio.load_fit_dir(_require_file(args.pretrain_dir))
+        arrays, manifest, _ = fitio.load_fit_dir(args.pretrain_dir)
         pretrain_config = manifest.get("config", {})
         if pretrain_config.get("model") != "pf":
-            raise _CliError(EXIT_VALIDATION, f"{args.pretrain_dir} is not a pf fit")
+            raise ValueError(f"{args.pretrain_dir} is not a pf fit")
         # pf fits that predate the recorded transform always used raw counts.
         if pretrain_config.get("use_log_transform", False) != use_log:
-            raise _CliError(EXIT_VALIDATION, f"{args.pretrain_dir} was pretrained "
-                            f"with a count transform other than use_log_transform={use_log}")
+            raise ValueError(f"{args.pretrain_dir} was pretrained with a count "
+                             f"transform other than use_log_transform={use_log}")
         init = (arrays["theta"], arrays["beta"])
     fit = tbip.train_tbip(built, cfg, init=init)
     tbip.save_fit(fit, args.output_dir)
@@ -207,7 +194,7 @@ def cmd_train_tbip(args):
 
 def cmd_train_wordfish(args):
     cfg = _train_config(args)
-    built, _ = corpus_mod.load_corpus(_require_file(args.data))
+    built, _ = corpus_mod.load_corpus(args.data)
     fit = baselines.train_wordfish(built, cfg)
     return _save_fit(
         args,
@@ -220,13 +207,12 @@ def cmd_train_wordfish(args):
 
 def cmd_train_wordshoal(args):
     cfg = _train_config(args)
-    built, _ = corpus_mod.load_corpus(_require_file(args.data))
-    fields_by_doc = corpus_mod.read_doc_index_csv(_require_file(args.debates), "debate_id")
+    built, _ = corpus_mod.load_corpus(args.data)
+    fields_by_doc = corpus_mod.read_doc_index_csv(args.debates, "debate_id")
     try:
         labels = [fields_by_doc[d][0] for d in range(built.num_docs)]
     except KeyError as exc:
-        raise _CliError(EXIT_VALIDATION,
-                        f"debate labels missing doc_index {exc.args[0]}") from None
+        raise ValueError(f"debate labels missing doc_index {exc.args[0]}") from None
     dcorpus = baselines.DebateLabeledCorpus.build(built, labels)
     fit = baselines.train_wordshoal(dcorpus, cfg)
     return _save_fit(
@@ -244,20 +230,16 @@ def cmd_train_wordshoal(args):
 
 
 def _load_fit_points(fit_dir):
-    arrays, manifest, _ = fitio.load_fit_dir(_require_file(fit_dir))
+    arrays, manifest, _ = fitio.load_fit_dir(fit_dir)
     names = manifest.get("author_names")
     if names is None or "x" not in arrays:
-        raise _CliError(EXIT_VALIDATION,
-                        f"{fit_dir} holds no ideal points with author names")
+        raise ValueError(f"{fit_dir} holds no ideal points with author names")
     return names, arrays["x"]
 
 
 def cmd_analyze_topics(args):
-    fit = tbip.load_fit(_require_file(args.fit))
-    vocab = corpus_mod.load_vocabulary(_require_file(args.data))
-    if fit.beta_hat.shape[1] != len(vocab):
-        raise _CliError(EXIT_VALIDATION,
-                        "fit vocabulary size does not match the corpus")
+    fit = tbip.load_fit(args.fit)
+    vocab = corpus_mod.load_vocabulary(args.data)
     report = analysis.topic_report(fit, vocab, args.top,
                                    exact_expectation=args.exact)
     outdir = args.output_dir
@@ -273,16 +255,10 @@ def cmd_analyze_align(args):
     reference = None
     inputs = [args.fit]
     if args.reference:
-        ref_names, ref_scores = analysis.load_ideal_points_csv(
-            _require_file(args.reference))
+        ref_names, ref_scores = analysis.load_ideal_points_csv(args.reference)
         inputs.append(args.reference)
-        try:
-            points_matched, reference = analysis.match_by_name(
-                names, points, ref_names, ref_scores)
-        except ValueError as exc:
-            raise _CliError(EXIT_VALIDATION, str(exc)) from None
-        if points_matched.shape[0] != points.shape[0]:
-            raise _CliError(EXIT_VALIDATION, "reference does not cover every fitted author")
+        # align rejects a reference that leaves a fitted author unmatched.
+        _, reference = analysis.match_by_name(names, points, ref_names, ref_scores)
     aligned = analysis.align(points, reference,
                              reference_name=args.reference)
     args.output_dir.mkdir(parents=True, exist_ok=True)
@@ -295,15 +271,8 @@ def cmd_analyze_align(args):
 
 def cmd_analyze_compare(args):
     names, points = _load_fit_points(args.fit)
-    ref_names, ref_scores = analysis.load_ideal_points_csv(
-        _require_file(args.reference))
-    try:
-        a, b = analysis.match_by_name(names, points, ref_names, ref_scores)
-    except ValueError as exc:
-        raise _CliError(EXIT_VALIDATION, str(exc)) from None
-    if a.size < 3:
-        raise _CliError(EXIT_VALIDATION,
-                        f"only {a.size} names overlap; need at least 3")
+    ref_names, ref_scores = analysis.load_ideal_points_csv(args.reference)
+    a, b = analysis.match_by_name(names, points, ref_names, ref_scores)
     pearson, spearman = analysis.compare(a, b)
     print(f"pearson {abs(pearson):.3f}  spearman {abs(spearman):.3f}")
     outdir = args.output_dir
@@ -325,13 +294,8 @@ def cmd_analyze_compare(args):
 
 
 def cmd_analyze_influence(args):
-    fit = tbip.load_fit(_require_file(args.fit))
-    built, _ = corpus_mod.load_corpus(_require_file(args.data))
-    if fit.theta_hat.shape[0] != built.num_docs:
-        raise _CliError(EXIT_VALIDATION, "fit and corpus document counts differ")
-    if not 0 <= args.doc < built.num_docs:
-        raise _CliError(EXIT_VALIDATION,
-                        f"--doc must lie in [0, {built.num_docs - 1}]")
+    fit = tbip.load_fit(args.fit)
+    built, _ = corpus_mod.load_corpus(args.data)
     if fit.config.get("use_log_transform"):
         built = corpus_mod.log_transform(built)
     score = analysis.influence(fit, built, args.doc)
@@ -350,30 +314,32 @@ def cmd_analyze_influence(args):
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args):
+def _synth_fields(args):
+    """The SynthSpec fields that every synth command sets."""
+    return {"num_docs": args.docs, "num_authors": args.authors, "layout": args.layout,
+            "polarity_scale": args.polarity, "seed": args.seed}
+
+
+def cmd_synth_tbip(args):
+    spec = synth.SynthSpec(num_terms=args.terms, num_topics=args.k, **_synth_fields(args))
+    built, truth = synth.sample_tbip(spec)
     outdir = args.output_dir
-    spec = synth.SynthSpec(
-        num_docs=args.docs,
-        num_terms=args.terms,
-        num_authors=args.authors,
-        num_topics=args.k,
-        layout=args.layout,
-        polarity_scale=args.polarity,
-        seed=args.seed,
-    )
-    outdir.mkdir(parents=True, exist_ok=True)
-    if args.kind == "tbip":
-        built, truth = synth.sample_tbip(spec)
-        vocab = corpus_mod.Vocabulary([f"term{v}" for v in range(built.num_terms)])
-        corpus_mod.save_corpus(built, vocab, outdir)
-        weights = corpus_mod.compute_weights(built)
-        corpus_mod.save_weights(outdir / corpus_mod.WEIGHTS_FILE,
-                                built.author_names, weights)
-    else:
-        votes, truth = synth.sample_votes(spec)
-        vote.save_votes_csv(votes, outdir / "votes.csv")
+    vocab = corpus_mod.Vocabulary([f"term{v}" for v in range(built.num_terms)])
+    corpus_mod.save_corpus(built, vocab, outdir)
+    weights = corpus_mod.compute_weights(built)
+    corpus_mod.save_weights(outdir / corpus_mod.WEIGHTS_FILE, built.author_names, weights)
     synth.save_truth(truth, outdir / "truth.json")
-    return dataclasses.asdict(spec) | {"kind": args.kind}, args.seed, [], None
+    return dataclasses.asdict(spec) | {"kind": "tbip"}, args.seed, [], None
+
+
+def cmd_synth_votes(args):
+    fields = _synth_fields(args)
+    # sample_votes reads neither num_terms nor num_topics.
+    votes, truth = synth.sample_votes(synth.SynthSpec(num_terms=1, **fields))
+    args.output_dir.mkdir(parents=True, exist_ok=True)
+    vote.save_votes_csv(votes, args.output_dir / "votes.csv")
+    synth.save_truth(truth, args.output_dir / "truth.json")
+    return fields | {"kind": "votes"}, args.seed, [], None
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +425,15 @@ def build_parser():
 
     s = _flags()
     s.add_argument("--docs", type=int, default=1000)
-    s.add_argument("--terms", type=int, default=300)
     s.add_argument("--authors", type=int, default=20)
-    s.add_argument("--k", type=int, default=5)
     s.add_argument("--layout", choices=("two_cluster", "uniform"), default="two_cluster")
     s.add_argument("--polarity", type=float, default=1.0)
     s.add_argument("--seed", type=int, default=0)
     synthesize = family("synth", "kind", "generate synthetic data with known truth", output, s)
-    synthesize("tbip", cmd_synth)
-    synthesize("votes", cmd_synth)
+    p = synthesize("tbip", cmd_synth_tbip)
+    p.add_argument("--terms", type=int, default=300)
+    p.add_argument("--k", type=int, default=5)
+    synthesize("votes", cmd_synth_votes)
     return parser
 
 
@@ -491,16 +457,13 @@ def main(argv=None):
         config, seed, inputs, final_elbo = args.func(args)
         write_manifest(args.output_dir, args.run_name, config, seed, inputs, started,
                        final_elbo)
-    except _CliError as exc:
+    except OSError as exc:  # its message names the file
         log.error("%s", exc)
-        return exc.code
-    except FileNotFoundError as exc:
-        log.error("file not found: %s", exc.filename or exc)
         return EXIT_IO
     except NonFiniteElbo as exc:
         log.error("%s", exc)
         return EXIT_NUMERIC
-    except (AllDocumentsFiltered, DebateTooSmall, ValueError) as exc:
+    except ValueError as exc:
         log.error("%s", exc)
         return EXIT_VALIDATION
     return EXIT_OK

@@ -26,7 +26,7 @@ from .fitio import load_named_values, save_named_values
 _TOKEN_RE = re.compile(r"[^\W\d_]+")
 
 
-class AllDocumentsFiltered(Exception):
+class AllDocumentsFiltered(ValueError):
     """Preprocessing removed every document."""
 
 

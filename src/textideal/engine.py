@@ -239,14 +239,17 @@ def gradient(state, batch, model, num_items, noise):
 # ---------------------------------------------------------------------------
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 class AdamState:
     """First/second moment accumulators for Adam with bias correction."""
 
-    def __init__(self, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=0.01):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {}
         self.v = {}
@@ -267,13 +270,13 @@ def adam_step(adam, params, grads):
             m = np.zeros_like(p)
             adam.v[key] = np.zeros_like(p)
         v = adam.v[key]
-        m = adam.beta1 * m + (1.0 - adam.beta1) * g
-        v = adam.beta2 * v + (1.0 - adam.beta2) * g * g
+        m = _BETA1 * m + (1.0 - _BETA1) * g
+        v = _BETA2 * v + (1.0 - _BETA2) * g * g
         adam.m[key] = m
         adam.v[key] = v
-        m_hat = m / (1.0 - adam.beta1**t)
-        v_hat = v / (1.0 - adam.beta2**t)
-        out[key] = p + adam.lr * m_hat / (np.sqrt(v_hat) + adam.eps)
+        m_hat = m / (1.0 - _BETA1**t)
+        v_hat = v / (1.0 - _BETA2**t)
+        out[key] = p + adam.lr * m_hat / (np.sqrt(v_hat) + _EPS)
     return out
 
 

@@ -73,9 +73,10 @@ def load_named_values(path, header):
 
     Only a first row whose first field is header[0] is taken as the header,
     so that name is kept on every later row. A row without a name and a
-    number raises ValueError naming the file and the line.
+    number, or one that repeats a name, raises ValueError naming the file
+    and the line.
     """
-    names, values = [], []
+    names, values, seen = [], [], set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for i, row in enumerate(reader):
@@ -87,5 +88,8 @@ def load_named_values(path, header):
                 raise ValueError(
                     f"{path}:{reader.line_num}: expected a name and a number, got {row!r}"
                 ) from None
+            if row[0] in seen:
+                raise ValueError(f"{path}:{reader.line_num}: repeats name {row[0]!r}")
+            seen.add(row[0])
             names.append(row[0])
     return names, np.asarray(values)

@@ -160,6 +160,11 @@ class TestTopicReport:
             topic_report(_fit(np.ones((1, 2)), np.zeros((1, 2))),
                          Vocabulary(["aa", "bb"]), 1, exact_expectation=True)
 
+    @pytest.mark.parametrize("terms", [["aa"], ["aa", "bb", "cc"]])
+    def test_vocabulary_size_must_match_the_fit(self, terms):
+        with pytest.raises(ValueError, match="fit has 2 terms"):
+            topic_report(_fit(np.ones((1, 2)), np.zeros((1, 2))), Vocabulary(terms), 1)
+
 
 def _small_corpus():
     counts = np.array([[2.0, 0, 1], [0, 1, 0], [3, 1, 1]])
@@ -167,6 +172,14 @@ def _small_corpus():
 
 
 class TestInfluence:
+    @pytest.mark.parametrize("num_docs", [2, 4])
+    def test_document_count_must_match_the_fit(self, num_docs):
+        rng = np.random.default_rng(3)
+        fit = _fit(rng.gamma(1, 1, (2, 3)) + 0.1, np.zeros((2, 3)),
+                   theta=rng.gamma(1, 1, (num_docs, 2)) + 0.1, x=np.array([-1.3, 0.8]))
+        with pytest.raises(ValueError, match=f"fit has {num_docs} documents"):
+            influence(fit, _small_corpus(), 0)
+
     def test_zero_tilt_means_zero_ratios(self):
         corpus = _small_corpus()
         rng = np.random.default_rng(3)
@@ -261,7 +274,7 @@ class TestPointsIO:
     @given(st.lists(st.tuples(
         st.one_of(st.text(max_size=6), st.sampled_from(
             ["name", "score", "Smith, John", '"q"', 'x"", y', "line\nbreak", " pad "])),
-        st.floats(allow_nan=False)), min_size=1, max_size=6))
+        st.floats(allow_nan=False)), min_size=1, max_size=6, unique_by=lambda row: row[0]))
     def test_save_load_round_trip_property(self, rows):
         names = [n for n, _ in rows]
         scores = np.array([v for _, v in rows], dtype=np.float64)
@@ -280,6 +293,13 @@ class TestPointsIO:
         with pytest.raises(ValueError) as err:
             load_ideal_points_csv(path)
         assert str(err.value).startswith(f"{path}:3: ")
+
+    def test_repeated_name_names_file_and_line(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("name,score\na,1.0\nb,2.0\na,-100\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="repeats name 'a'") as err:
+            load_ideal_points_csv(path)
+        assert str(err.value).startswith(f"{path}:4: ")
 
     def test_match_by_name_inner_join(self):
         a, b = match_by_name(["x", "y", "z"], np.array([1.0, 2.0, 3.0]),

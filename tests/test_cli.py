@@ -57,6 +57,79 @@ def wordfish_fit_dir(tmp_path_factory, synth_corpus_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory, synth_corpus_dir, tbip_fit_dir):
+    """One readable file or directory for every path flag."""
+    root = tmp_path_factory.mktemp("inputs")
+    docs = root / "docs.jsonl"
+    docs.write_text(json.dumps({"id": "d0", "author": "a", "text": "hi"}) + "\n",
+                    encoding="utf-8")
+    reference = root / "ref.csv"
+    save_ideal_points_csv(reference, [f"author{a}" for a in range(8)], np.arange(8.0))
+    return {"docs": docs, "corpus": synth_corpus_dir, "fit": tbip_fit_dir,
+            "reference": reference,
+            "debates": parity_debate_labels(synth_corpus_dir, root / "debates.csv")}
+
+
+# Each argv names one absent path, {missing}; the other paths exist.
+MISSING_PATH_ARGV = {
+    "preprocess --input": ["preprocess", "--input", "{missing}"],
+    "preprocess --stopwords": ["preprocess", "--input", "{docs}", "--stopwords", "{missing}"],
+    "train tbip --data": ["train", "tbip", "--data", "{missing}"],
+    "train pf --data": ["train", "pf", "--data", "{missing}"],
+    "train vote --data": ["train", "vote", "--data", "{missing}"],
+    "train wordfish --data": ["train", "wordfish", "--data", "{missing}"],
+    "train wordshoal --data": ["train", "wordshoal", "--data", "{missing}",
+                               "--debates", "{debates}"],
+    "train wordshoal --debates": ["train", "wordshoal", "--data", "{corpus}",
+                                  "--debates", "{missing}"],
+    "train tbip --pretrain-dir": ["train", "tbip", "--data", "{corpus}", "--k", "2",
+                                  "--log-counts", "off", "--pretrain-dir", "{missing}"],
+    "analyze topics --fit": ["analyze", "topics", "--fit", "{missing}", "--data", "{corpus}"],
+    "analyze topics --data": ["analyze", "topics", "--fit", "{fit}", "--data", "{missing}"],
+    "analyze align --fit": ["analyze", "align", "--fit", "{missing}"],
+    "analyze align --reference": ["analyze", "align", "--fit", "{fit}",
+                                  "--reference", "{missing}"],
+    "analyze compare --fit": ["analyze", "compare", "--fit", "{missing}",
+                              "--reference", "{reference}"],
+    "analyze compare --reference": ["analyze", "compare", "--fit", "{fit}",
+                                    "--reference", "{missing}"],
+    "analyze influence --fit": ["analyze", "influence", "--fit", "{missing}",
+                                "--data", "{corpus}", "--doc", "0"],
+    "analyze influence --data": ["analyze", "influence", "--fit", "{fit}",
+                                 "--data", "{missing}", "--doc", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", MISSING_PATH_ARGV.values(), ids=MISSING_PATH_ARGV.keys())
+def test_missing_input_exits_1_naming_it(valid_inputs, tmp_path, caplog, argv):
+    missing = tmp_path / "absent"
+    out = tmp_path / "out"
+    argv = [a.format(missing=missing, **valid_inputs) for a in argv]
+    with caplog.at_level(logging.ERROR, logger="textideal"):
+        rc = run([*argv, "--output-dir", out])
+    assert rc == 1
+    assert str(missing) in caplog.text
+    assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["preprocess", "--input", "{corpus}"],
+    ["train", "pf", "--data", "{corpus}/counts.txt"],
+    ["train", "vote", "--data", "{corpus}"],
+], ids=["directory as --input", "file as --data", "directory as vote --data"])
+def test_wrong_kind_of_path_exits_1_without_traceback(synth_corpus_dir, tmp_path, caplog,
+                                                      capsys, argv):
+    out = tmp_path / "out"
+    argv = [a.format(corpus=synth_corpus_dir) for a in argv]
+    with caplog.at_level(logging.ERROR, logger="textideal"):
+        rc = run([*argv, "--output-dir", out])
+    assert rc == 1
+    assert str(synth_corpus_dir) in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
+
+
 class TestPreprocess:
     @pytest.mark.parametrize("line, message", [
         ("[1, 2]", "expected a JSON object"),
@@ -358,6 +431,29 @@ class TestAnalyze:
         assert rc == 2
         assert f"{ref}:2: " in caplog.text
 
+    def test_reference_repeating_a_name_exits_2(self, tbip_fit_dir, tmp_path, caplog):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("name,score\nauthor0,1.0\nauthor1,2.0\nauthor2,3.0\nauthor0,-100\n",
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["analyze", "compare", "--fit", tbip_fit_dir,
+                      "--reference", ref, "--output-dir", out])
+        assert rc == 2
+        assert f"{ref}:5: repeats name 'author0'" in caplog.text
+        assert not (out / "run_manifest.json").exists()
+
+    def test_constant_reference_exits_2(self, tbip_fit_dir, tmp_path, caplog):
+        ref = tmp_path / "ref.csv"
+        save_ideal_points_csv(ref, [f"author{a}" for a in range(8)], np.ones(8))
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["analyze", "compare", "--fit", tbip_fit_dir,
+                      "--reference", ref, "--output-dir", out])
+        assert rc == 2
+        assert "constant" in caplog.text
+        assert not (out / "run_manifest.json").exists()
+
     def test_compare_disjoint_names_exits_2(self, tbip_fit_dir, tmp_path):
         ref = tmp_path / "ref.csv"
         ref.write_text("name,score\nnobody,1.0\n", encoding="utf-8")
@@ -425,6 +521,8 @@ class TestFlags:
         ["train", "pf", "--data", "{data}", "--pretrain-sweeps", "2", "--lr", "0.1"],
         ["analyze", "align", "--fit", "{fit}", "--doc", "1"],
         ["analyze", "influence", "--fit", "{fit}", "--data", "{data}"],
+        ["synth", "votes", "--docs", "5", "--k", "3"],
+        ["synth", "votes", "--docs", "5", "--terms", "7"],
     ])
     def test_unread_flag_or_missing_required_flag_exits_2(self, synth_corpus_dir, tbip_fit_dir,
                                                            tmp_path, argv):
@@ -463,3 +561,16 @@ class TestSynth:
         assert set(truth) == {"theta", "beta", "eta", "x"}
         manifest = json.loads((synth_corpus_dir / "run_manifest.json").read_text())
         assert manifest["command"] == "synth tbip"
+
+    def test_votes_records_only_the_flags_it_reads(self, tmp_path, capsys):
+        out = tmp_path / "votes"
+        assert run(["synth", "votes", "--output-dir", out, "--docs", "12",
+                    "--authors", "6", "--seed", "4"]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["command"] == "synth votes"
+        assert manifest["config"] == {"kind": "votes", "num_docs": 12, "num_authors": 6,
+                                      "layout": "two_cluster", "polarity_scale": 1.0,
+                                      "seed": 4}
+        assert (out / "votes.csv").exists() and (out / "truth.json").exists()
+        assert run(["synth", "votes", "--output-dir", tmp_path / "x", "--k", "3"]) == 2
+        assert capsys.readouterr().err.startswith("usage: textideal synth votes ")

@@ -395,7 +395,7 @@ _scores = st.floats(allow_nan=False)
 
 class TestWeightsCsvProperties:
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(_score_names, _scores), max_size=6))
+    @given(st.lists(st.tuples(_score_names, _scores), max_size=6, unique_by=lambda row: row[0]))
     def test_save_load_round_trip(self, rows):
         names = [n for n, _ in rows]
         weights = np.array([w for _, w in rows], dtype=np.float64)

@@ -326,16 +326,6 @@ class TestAdam:
         out = adam_step(adam, params, {"w": np.zeros(3)})
         assert np.array_equal(out["w"], params["w"])
 
-    def test_moment_free_limit_is_sign_scaling(self):
-        adam = AdamState(lr=0.05, beta1=0.0, beta2=0.0)
-        params = {"w": np.zeros(3)}
-        g = np.array([2.0, -3.0, 0.5])
-        out = adam_step(adam, params, {"w": g})
-        expected = 0.05 * g / (np.abs(g) + adam.eps)
-        assert np.allclose(out["w"], expected)
-        out2 = adam_step(adam, out, {"w": g})
-        assert np.allclose(out2["w"] - out["w"], expected)
-
     def test_zero_learning_rate_is_identity(self):
         adam = AdamState(lr=0.0)
         params = {"w": np.array([1.0, -2.0])}
