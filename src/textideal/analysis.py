@@ -156,7 +156,7 @@ def influence(fit, corpus, doc):
         raise ValueError(f"doc index {doc} out of range [0, {corpus.num_docs - 1}]")
     author = corpus.author_of[doc]
     w = compute_weights(corpus)[author]
-    y = corpus.dense_rows([doc])[0]
+    y = corpus.counts[doc].toarray()[0]
     theta_d = fit.theta_hat[doc]
 
     def loglik_at(x_value):

@@ -73,7 +73,7 @@ def write_manifest(outdir, command, config, seed, inputs, started, final_elbo=No
 def _load_stopwords(path):
     if path is None:
         return frozenset()
-    with open(path, encoding="utf-8") as fh:
+    with fitio.open_text(path) as fh:
         return frozenset(w.strip().lower() for w in fh if w.strip())
 
 

@@ -20,7 +20,7 @@ import re
 import numpy as np
 import scipy.sparse as sp
 
-from .fitio import load_named_values, save_named_values
+from .fitio import load_named_values, open_text, save_named_values
 
 # Letters only: digits, underscores and punctuation never form tokens.
 _TOKEN_RE = re.compile(r"[^\W\d_]+")
@@ -134,23 +134,24 @@ class SparseCorpus:
         coo = self.counts.tocoo()
         return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data.copy()
 
-    def dense_rows(self, doc_idx):
-        """Dense count rows for the given document indices.
+    def row_entries(self, doc_idx):
+        """(indptr, term_idx, count): the CSR arrays of the given documents'
+        rows, in the order given.
 
-        Scatters the stored CSR entries directly: scipy's row fancy indexing
+        Slices the stored CSR arrays directly: scipy's row fancy indexing
         costs more than the whole likelihood on small batches.
         """
         doc_idx = np.asarray(doc_idx, dtype=np.int64)
         c = self.counts
         start = c.indptr[doc_idx]
         length = c.indptr[doc_idx + 1] - start
-        rows = np.repeat(np.arange(doc_idx.size), length)
+        indptr = np.zeros(doc_idx.size + 1, dtype=np.int64)
+        indptr[1:] = length.cumsum()
         # Offset of each selected entry in c.data: its rank within the
         # selection, shifted by where its row starts in the CSR arrays.
-        pos = np.arange(rows.size) + np.repeat(start - (np.cumsum(length) - length), length)
-        out = np.zeros((doc_idx.size, c.shape[1]))
-        out.ravel()[rows * c.shape[1] + c.indices[pos]] = c.data[pos]
-        return out
+        pos = (start - indptr[:-1]).repeat(length)
+        pos += np.arange(pos.size)
+        return indptr, c.indices[pos], c.data[pos]
 
     def doc_totals(self):
         """Total token count per document."""
@@ -392,7 +393,7 @@ WEIGHTS_FILE = "weights.csv"
 def read_documents_jsonl(path):
     """Read documents from a JSON-lines file with id/author/text fields."""
     docs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -437,7 +438,7 @@ def save_corpus(corpus, vocab, outdir):
 
 def load_vocabulary(indir):
     """Read the Vocabulary written by `save_corpus` under `indir`."""
-    with open(Path(indir) / VOCAB_FILE, encoding="utf-8") as fh:
+    with open_text(Path(indir) / VOCAB_FILE) as fh:
         return Vocabulary(line.rstrip("\n") for line in fh if line.rstrip("\n"))
 
 
@@ -451,7 +452,7 @@ def read_doc_index_csv(path, columns):
     file and the line; `columns` describes the later fields in the message.
     """
     fields_by_doc = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         for i, row in enumerate(reader):
             if not row or (i == 0 and row[0] == "doc_index"):
@@ -478,7 +479,8 @@ def _read_counts(path):
     Raises ValueError naming the file on a line that is not exactly two
     integer indices and a number.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    with open_text(path) as fh:
+        text = fh.read()
     if not text or text.isspace():
         # loadtxt warns on input without data; an empty corpus is valid.
         table = np.empty(0, dtype=_COUNTS_DTYPE)

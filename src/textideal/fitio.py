@@ -8,6 +8,7 @@ weights, ideal points) are two-column CSVs of a name and a float.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from pathlib import Path
@@ -17,6 +18,22 @@ import numpy as np
 MANIFEST_FILE = "manifest.json"
 ELBO_FILE = "elbo.csv"
 FORMAT_TAG = "textideal-fit-v1"
+
+
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """Open `path` for reading as UTF-8 text.
+
+    Bytes that are not UTF-8, wherever the reader meets them, raise
+    ValueError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
 
 
 def save_fit_dir(outdir, arrays, manifest=None, elbo_trace=None):
@@ -42,7 +59,7 @@ def save_fit_dir(outdir, arrays, manifest=None, elbo_trace=None):
 def load_fit_dir(indir):
     """Return (arrays, manifest, elbo_trace) from a fit directory."""
     indir = Path(indir)
-    with open(indir / MANIFEST_FILE, encoding="utf-8") as fh:
+    with open_text(indir / MANIFEST_FILE) as fh:
         manifest = json.load(fh)
     arrays = {}
     for name, shape in manifest.get("arrays", {}).items():
@@ -51,7 +68,7 @@ def load_fit_dir(indir):
     trace = []
     elbo_path = indir / ELBO_FILE
     if elbo_path.exists():
-        with open(elbo_path, newline="", encoding="utf-8") as fh:
+        with open_text(elbo_path, newline="") as fh:
             for row in csv.reader(fh):
                 if not row or row[0] == "step":
                     continue
@@ -77,7 +94,7 @@ def load_named_values(path, header):
     and the line.
     """
     names, values, seen = [], [], set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         for i, row in enumerate(reader):
             if not row or (i == 0 and row[0] == header[0]):

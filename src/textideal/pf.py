@@ -224,8 +224,9 @@ def pf_elbo(state, corpus):
 def pretrain(corpus, num_topics, a=0.3, b=0.3, sweeps=100, seed=0, tol=1e-6):
     """Initial estimates of intensities (D x K) and topics (K x V).
 
-    Sweeps stop early once the relative objective change drops below `tol`.
-    Returns posterior means, strictly positive.
+    Sweeps stop early once the relative objective change drops below `tol`;
+    no objective is evaluated after the last sweep, since none can change
+    the result. Returns posterior means, strictly positive.
     """
     if num_topics < 1:
         raise ValueError("num_topics must be >= 1")
@@ -234,8 +235,10 @@ def pretrain(corpus, num_topics, a=0.3, b=0.3, sweeps=100, seed=0, tol=1e-6):
     rng = np.random.default_rng(seed)
     state = init_state(corpus.num_docs, corpus.num_terms, num_topics, a, b, rng)
     prev = None
-    for _ in range(sweeps):
+    for sweep in range(1, sweeps + 1):
         state = cavi_step(state, corpus)
+        if sweep == sweeps:
+            break
         value = pf_elbo(state, corpus)
         if prev is not None and abs(value - prev) <= tol * abs(prev):
             break

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import SparseCorpus
+from .fitio import open_text
 from .vote import VoteMatrix, sigmoid
 
 
@@ -159,6 +160,6 @@ def save_truth(truth, path):
 
 def load_truth(path):
     """Read a truth JSON back into a dict of arrays."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         doc = json.load(fh)
     return {name: np.asarray(value) for name, value in doc.items()}

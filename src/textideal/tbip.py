@@ -10,6 +10,12 @@ priors on theta and beta, standard normal priors on eta and x. Training
 initializes theta/beta from a Poisson factorization pretrain, then runs
 stochastic reparameterized ascent (see `engine`) with lognormal factors on
 the positive latents and Gaussian factors on the real ones.
+
+The minibatch likelihood forms no dense batch x vocabulary array unless
+the batch's nonzeros fill a quarter of one. Its Poisson mass factorizes per
+author into sums over the vocabulary, taken for all batch authors at once
+over bounded vocabulary tiles; the y / rate terms need only the terms each
+author's batch documents use.
 """
 
 from __future__ import annotations
@@ -132,12 +138,93 @@ def log_likelihood_doc(y_d, rate):
     return float(np.sum(y_d * np.log(rate) - rate - gammaln(y_d + 1.0)))
 
 
+# Cells of one exp(x_a * eta) block of the likelihood's mass, topics x batch
+# authors x vocabulary tile: large enough that numpy's per-call overhead
+# stays small, small enough to stay in cache.
+_TILE_CELLS = 1 << 17
+
+
+def _mass_sums(beta, eta, x_batch, c, want_grads):
+    """Per-author sums over the vocabulary that give the Poisson mass.
+
+    With E_a = exp(x_a * eta) for the G batch authors and c (K x G), returns
+    `sums` (K x G x 2), r_a = sum_v beta * E_a and q_a = sum_v beta * eta *
+    E_a, and, with gradients, `mass` (2 x K x V), sum_a c_a * E_a and
+    sum_a x_a * c_a * E_a (else None). E is built one vocabulary tile of at
+    most _TILE_CELLS cells at a time.
+    """
+    k, v = beta.shape
+    tile = max(1, _TILE_CELLS // max(1, k * x_batch.size))
+    x_col = x_batch[:, None]
+    sums = np.zeros((k, x_batch.size, 2))
+    mass = None
+    if want_grads:
+        lhs = np.stack([c, c * x_batch], axis=1)
+        mass = np.empty((2, k, v))
+    for v0 in range(0, v, tile):
+        cols = slice(v0, v0 + tile)
+        e = eta[:, None, cols] * x_col
+        np.exp(e, out=e)
+        # r and q come from one product in both modes, so the value does
+        # not depend on whether gradients are wanted.
+        rhs = np.empty((k, e.shape[2], 2))
+        rhs[:, :, 0] = beta[:, cols]
+        np.multiply(beta[:, cols], eta[:, cols], out=rhs[:, :, 1])
+        sums += e @ rhs
+        if want_grads:
+            mass[:, :, cols] = (lhs @ e).transpose(1, 0, 2)
+    return sums, mass
+
+
+# A batch whose nonzeros fill at least this share of its docs x V cells is
+# read as dense rows: finding each author's terms costs more than it saves.
+_DENSE_SHARE = 0.25
+
+
+def _count_blocks(indptr, terms, counts, bounds, num_terms):
+    """Per batch author, (cols, y): the terms its documents use, and their
+    counts as a dense (its docs) x (those terms) block.
+
+    Author g's documents are rows bounds[g]:bounds[g+1] of the CSR arrays
+    (indptr, terms, counts). In a dense batch every author takes every term,
+    and cols is a slice.
+    """
+    num_docs = indptr.size - 1
+    lengths = indptr[1:] - indptr[:-1]
+    spans = zip(bounds[:-1], bounds[1:])
+    if terms.size >= _DENSE_SHARE * num_docs * num_terms:
+        y = np.zeros((num_docs, num_terms))
+        y.ravel()[(num_terms * np.arange(num_docs)).repeat(lengths) + terms] = counts
+        for lo, hi in spans:
+            yield slice(None), y[lo:hi]
+        return
+    # `rank` maps each used term to its column in the author's block;
+    # entries of other terms are stale.
+    rank = np.empty(num_terms, dtype=np.intp)
+    for lo, hi in spans:
+        nz = slice(indptr[lo], indptr[hi])
+        cols = np.bincount(terms[nz], minlength=num_terms).nonzero()[0]
+        rank[cols] = np.arange(cols.size)
+        flat = (cols.size * np.arange(hi - lo)).repeat(lengths[lo:hi])
+        flat += rank[terms[nz]]
+        y = np.zeros((hi - lo, cols.size))
+        y.ravel()[flat] = counts[nz]
+        yield cols, y
+
+
 class TBIPModel:
     """Minibatch likelihood with analytic gradients: with respect to the
     samples of eta and x, and to the logs of the theta and beta samples.
 
-    Documents are grouped by author inside each batch so the rate reduces
-    to one (docs x K) @ (K x V) product per author.
+    Document d of author a has rates lambda_d = w_a theta_d @ basis_a with
+    basis_a = beta * exp(x_a * eta). The likelihood has two halves:
+    - the mass, sum_d sum_v lambda_dv = sum_a <c_a, r_a>, with
+      c_a = w_a sum_{d in batch(a)} theta_d and r_a = sum_v basis_a, and
+      the "-1" halves of every gradient, which need only such per-author
+      sums (`_mass_sums`);
+    - the y * log(lambda) terms and the y / lambda halves of the gradients,
+      which vanish off the nonzeros: one dense (docs x K) @ (K x terms)
+      product per author, over the terms its batch documents use.
     """
 
     def __init__(self, corpus, weights):
@@ -157,51 +244,72 @@ class TBIPModel:
         beta = samples["beta"]
         eta = samples["eta"]
         x = samples["x"]
+        k, num_terms = beta.shape
 
         # One stable sort groups the batch by author and keeps batch order
-        # within each group; one call fetches every dense count row.
+        # within each group; author g's documents are bounds[g]:bounds[g+1].
         doc_idx = np.asarray(doc_idx)
-        docs_sorted = doc_idx[np.argsort(self.corpus.author_of[doc_idx], kind="stable")]
-        authors, starts = np.unique(self.corpus.author_of[docs_sorted], return_index=True)
-        ends = np.append(starts[1:], docs_sorted.size)
-        y_sorted = self.corpus.dense_rows(docs_sorted)
+        author_of = self.corpus.author_of
+        docs = doc_idx[author_of[doc_idx].argsort(kind="stable")]
+        doc_author = author_of[docs]
+        change = np.ones(docs.size + 1, dtype=bool)
+        np.not_equal(doc_author[1:], doc_author[:-1], out=change[1:-1])
+        bounds = change.nonzero()[0]
+        authors = doc_author[bounds[:-1]]
+        w = self.weights[authors]
+        th = theta[docs]
+        c = np.add.reduceat(th, bounds[:-1], axis=0)
+        c *= w[:, None]
+        sums, mass = _mass_sums(beta, eta, x[authors], c.T, want_grads)
+        r = sums[:, :, 0]
+        value = -float((c.T * r).sum()) - float(self._lgamma_const[docs].sum())
 
-        value = 0.0
+        # The y / lambda half, per author over the terms its batch documents
+        # use.
+        blocks = _count_blocks(*self.corpus.row_entries(docs), bounds, num_terms)
+        beta_t = np.ascontiguousarray(beta.T)
+        eta_t = np.ascontiguousarray(eta.T)
         if want_grads:
-            grad_theta = np.zeros_like(theta)
+            resid_theta = np.empty_like(th)
             grad_x = np.zeros_like(x)
-            g_sum = np.zeros_like(beta)
-            xg_sum = np.zeros_like(eta)
-        for a, lo, hi in zip(authors, starts, ends):
-            docs = docs_sorted[lo:hi]
-            y = y_sorted[lo:hi]
-            w = self.weights[a]
-            basis = x[a] * eta
+            # Per term: the y / lambda halves of the log-beta and eta
+            # gradients, side by side.
+            sums_t = np.zeros((num_terms, 2 * k))
+        for g, (a, (cols, y)) in enumerate(zip(authors, blocks)):
+            lo, hi = bounds[g], bounds[g + 1]
+            eta_a = eta_t[cols]
+            basis = eta_a * x[a]
             np.exp(basis, out=basis)
-            basis *= beta
-            th = theta[docs]
-            lam = w * (th @ basis)
-            value += float(
-                np.sum(y * np.log(lam)) - lam.sum() - self._lgamma_const[docs].sum()
-            )
+            basis *= beta_t[cols]
+            lam = th[lo:hi] @ basis.T
+            lam *= w[g]
+            value += float(np.vdot(y, np.log(lam)))
             if want_grads:
                 resid = y / lam
-                resid -= 1.0
-                resid *= w
-                # theta's gradient is with respect to log theta.
-                grad_theta[docs] = th * (resid @ basis.T)
+                resid *= w[g]
+                # theta's gradient is with respect to log theta. Its "-1"
+                # half, like those of beta, eta and x, comes from the mass
+                # sums.
+                resid_theta[lo:hi] = resid @ basis
+                resid_theta[lo:hi] -= w[g] * r[:, g]
                 # G_a = w (theta_a^T (y / lam - 1)) * basis is the gradient
                 # with respect to log beta; eta's weighs it by x_a, and
                 # x_a's is <G_a, eta>.
-                g = th.T @ resid
-                g *= basis
-                g_sum += g
-                grad_x[a] = np.vdot(g, eta)
-                g *= x[a]
-                xg_sum += g
+                both = np.empty((y.shape[1], 2 * k))
+                g_a = np.matmul(resid.T, th[lo:hi], out=both[:, :k])
+                g_a *= basis
+                grad_x[a] = np.vdot(g_a, eta_a) - np.vdot(c[g], sums[:, g, 1])
+                np.multiply(g_a, x[a], out=both[:, k:])
+                sums_t[cols] += both
         if not want_grads:
             return value, None
-        return value, {"theta": grad_theta, "beta": g_sum, "eta": xg_sum, "x": grad_x}
+
+        grad_theta = np.zeros_like(theta)
+        grad_theta[docs] = th * resid_theta
+        mass *= -beta
+        mass[0] += sums_t[:, :k].T
+        mass[1] += sums_t[:, k:].T
+        return value, {"theta": grad_theta, "beta": mass[0], "eta": mass[1], "x": grad_x}
 
 
 def make_state(corpus, k, theta_init, beta_init, priors, rng):

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import engine
 from .engine import AdamState, NormalPrior, VariationalState, gaussian_families
+from .fitio import open_text
 
 
 def sigmoid(t):
@@ -161,7 +162,7 @@ def load_votes_csv(path):
     first column.
     """
     records = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         for row in csv.reader(fh):
             if len(row) < 3 or row[2] not in ("0", "1"):
                 continue

@@ -208,7 +208,7 @@ class TestInfluence:
         doc = 2
         score = influence(fit, corpus, doc)
         author = corpus.author_of[doc]
-        y = corpus.dense_rows([doc])[0]
+        y = corpus.counts[doc].toarray()[0]
 
         def oracle(x_val):
             lam = weights[author] * (

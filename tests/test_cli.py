@@ -130,6 +130,41 @@ def test_wrong_kind_of_path_exits_1_without_traceback(synth_corpus_dir, tmp_path
     assert not (out / "run_manifest.json").exists()
 
 
+# Each argv reads one file, {bad}, whose first byte (0xff) is not UTF-8:
+# a new file, or a copy of one in the corpus or fit directory.
+NOT_UTF8_ARGV = {
+    "preprocess --input": ("bad", ["preprocess", "--input", "{bad}"]),
+    "preprocess --stopwords": ("bad", ["preprocess", "--input", "{docs}",
+                                       "--stopwords", "{bad}"]),
+    "train vote --data": ("bad", ["train", "vote", "--data", "{bad}"]),
+    "corpus vocabulary.txt": ("corpus/vocabulary.txt", ["train", "pf", "--data", "{corpus}"]),
+    "corpus authors.csv": ("corpus/authors.csv", ["train", "pf", "--data", "{corpus}"]),
+    "corpus counts.txt": ("corpus/counts.txt", ["train", "pf", "--data", "{corpus}"]),
+    "fit manifest.json": ("fit/manifest.json", ["analyze", "align", "--fit", "{fit}"]),
+    "analyze align --reference": ("bad", ["analyze", "align", "--fit", "{fit}",
+                                          "--reference", "{bad}"]),
+    "analyze compare --reference": ("bad", ["analyze", "compare", "--fit", "{fit}",
+                                            "--reference", "{bad}"]),
+}
+
+
+@pytest.mark.parametrize("bad_file, argv", NOT_UTF8_ARGV.values(), ids=NOT_UTF8_ARGV.keys())
+def test_file_that_is_not_utf8_exits_2_naming_it(valid_inputs, tmp_path, caplog,
+                                                 bad_file, argv):
+    shutil.copytree(valid_inputs["corpus"], tmp_path / "corpus")
+    shutil.copytree(valid_inputs["fit"], tmp_path / "fit")
+    bad = tmp_path / bad_file
+    bad.write_bytes(b"\xff" + (bad.read_bytes() if bad.exists() else b"a,1\n"))
+    out = tmp_path / "out"
+    argv = [a.format(bad=bad, docs=valid_inputs["docs"], corpus=tmp_path / "corpus",
+                     fit=tmp_path / "fit") for a in argv]
+    with caplog.at_level(logging.ERROR, logger="textideal"):
+        rc = run([*argv, "--output-dir", out])
+    assert rc == 2
+    assert f"{bad}: not UTF-8 text" in caplog.text
+    assert not (out / "run_manifest.json").exists()
+
+
 class TestPreprocess:
     @pytest.mark.parametrize("line, message", [
         ("[1, 2]", "expected a JSON object"),

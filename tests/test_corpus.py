@@ -362,11 +362,14 @@ def _small_corpora(draw):
 class TestCorpusProperties:
     @settings(max_examples=60, deadline=None)
     @given(_small_corpora(), st.data())
-    def test_dense_rows_match_scipy_row_indexing(self, pair, data):
+    def test_row_entries_match_scipy_row_indexing(self, pair, data):
         corpus, _ = pair
         idx = data.draw(st.lists(st.integers(0, corpus.num_docs - 1), max_size=10))
-        expected = corpus.counts[idx].toarray()
-        assert np.array_equal(corpus.dense_rows(idx), expected)
+        expected = corpus.counts[idx]
+        indptr, terms, counts = corpus.row_entries(np.array(idx, dtype=np.int64))
+        assert np.array_equal(indptr, expected.indptr)
+        assert np.array_equal(terms, expected.indices)
+        assert np.array_equal(counts, expected.data)
 
     @settings(max_examples=60, deadline=None)
     @given(_small_corpora())

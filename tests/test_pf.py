@@ -280,6 +280,24 @@ class TestPretrain:
         t2, b2 = pf.pretrain(corpus, 3, sweeps=15, seed=42)
         assert np.array_equal(t1, t2) and np.array_equal(b1, b2)
 
+    @pytest.mark.parametrize("sweeps", [1, 2, 5])
+    def test_one_phi_pass_per_sweep(self, monkeypatch, sweeps):
+        """The objective is not evaluated after the last sweep: each sweep
+        reads the pass its predecessor's objective cached, and the first
+        reads the initial state's."""
+        rng = np.random.default_rng(8)
+        corpus = _random_corpus(rng, 10, 8)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return phi_pass(*args)
+
+        phi_pass = pf._phi_pass
+        monkeypatch.setattr(pf, "_phi_pass", counted)
+        pf.pretrain(corpus, 3, sweeps=sweeps, seed=0, tol=0.0)
+        assert len(calls) == sweeps
+
     def test_invalid_arguments(self):
         rng = np.random.default_rng(7)
         corpus = _random_corpus(rng, 4, 4)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -103,15 +105,20 @@ def _assert_close_rel(got, expected, rtol=1e-12):
 
 
 class TestLoglikMatchesLoopOracle:
-    """The author-grouped kernel against the one-mask-per-author loop."""
+    """The structured kernel (mass from per-author sums over vocabulary
+    tiles, y / lambda over each author's used columns) against the
+    one-mask-per-author loop."""
 
-    def _setup(self, seed, empty_doc=None, num_docs=12):
+    def _setup(self, seed, empty_doc=None, num_docs=12, num_terms=9, k=3,
+               num_authors=4, dense_of=None):
+        """`dense_of(rng, author_of)`, when given, draws the count matrix."""
         rng = np.random.default_rng(seed)
-        num_terms, num_authors, k = 9, 4, 3
         dense = rng.poisson(1.5, size=(num_docs, num_terms)).astype(float)
         if empty_doc is not None:
             dense[empty_doc] = 0.0
         author_of = rng.permutation(np.arange(num_docs) % num_authors)
+        if dense_of is not None:
+            dense = dense_of(rng, author_of)
         corpus = SparseCorpus(sp.csr_matrix(dense), author_of,
                               [f"a{i}" for i in range(num_authors)])
         samples = {
@@ -126,20 +133,24 @@ class TestLoglikMatchesLoopOracle:
     def _check(self, corpus, dense, weights, samples, doc_idx):
         doc_idx = np.asarray(doc_idx)
         model = TBIPModel(corpus, weights)
-        value, grads = model.loglik(samples, doc_idx, want_grads=True)
         exp_value, exp_grads = tbip_loglik(dense, corpus.author_of, weights, samples,
                                            doc_idx, want_grads=True)
-        _assert_close_rel(value, exp_value)
-        assert set(grads) == set(exp_grads)
         # theta and beta gradients are with respect to their logs: the
         # oracle's sample-space gradient times the sample.
         for name in ("theta", "beta"):
             exp_grads[name] = exp_grads[name] * samples[name]
-        for name in exp_grads:
-            _assert_close_rel(grads[name], exp_grads[name])
-        value_only, none = model.loglik(samples, doc_idx, want_grads=False)
-        assert none is None
-        assert value_only == value
+        # Both sides of the dense-batch rule: the batch read as dense rows,
+        # and as one block per author over its used terms.
+        for dense_share in (0.0, np.inf):
+            with mock.patch.object(tbip, "_DENSE_SHARE", dense_share):
+                value, grads = model.loglik(samples, doc_idx, want_grads=True)
+                _assert_close_rel(value, exp_value)
+                assert set(grads) == set(exp_grads)
+                for name in exp_grads:
+                    _assert_close_rel(grads[name], exp_grads[name])
+                value_only, none = model.loglik(samples, doc_idx, want_grads=False)
+                assert none is None
+                assert value_only == value
 
     def test_single_author_batch(self):
         corpus, dense, weights, samples = self._setup(0)
@@ -163,6 +174,39 @@ class TestLoglikMatchesLoopOracle:
         self._check(corpus, dense, weights, samples, [5, 0, 7, 3, 11])
         self._check(corpus, dense, weights, samples, [5])
 
+    @pytest.mark.parametrize("tile_cells, k", [(1, 3), (40, 3), (28, 1)])
+    def test_several_vocabulary_tiles(self, monkeypatch, tile_cells, k):
+        monkeypatch.setattr(tbip, "_TILE_CELLS", tile_cells)
+        corpus, dense, weights, samples = self._setup(6, empty_doc=3, num_docs=30,
+                                                      num_terms=23, k=k)
+        docs = np.random.default_rng(7).permutation(corpus.num_docs)[:20]
+        authors = np.unique(corpus.author_of[docs]).size
+        # Tiles of 1, 3 and 7 terms, the last one ragged.
+        assert 1 < -(-corpus.num_terms // max(1, tile_cells // (k * authors)))
+        self._check(corpus, dense, weights, samples, docs)
+
+    def test_authors_with_disjoint_columns(self):
+        def disjoint(rng, author_of):
+            dense = np.zeros((author_of.size, 12))
+            for d, a in enumerate(author_of):
+                dense[d, 4 * a : 4 * a + 4] = rng.poisson(1.5, 4) + (d % 2)
+            return dense
+
+        corpus, dense, weights, samples = self._setup(8, num_docs=15, num_terms=12,
+                                                      num_authors=3, dense_of=disjoint)
+        self._check(corpus, dense, weights, samples, np.arange(corpus.num_docs)[::-1])
+
+    def test_fully_dense_batch(self):
+        corpus, dense, weights, samples = self._setup(
+            9, num_docs=20, num_terms=15,
+            dense_of=lambda rng, author_of: rng.poisson(2.0, (author_of.size, 15)) + 1.0)
+        assert corpus.counts.nnz == corpus.num_docs * corpus.num_terms
+        self._check(corpus, dense, weights, samples, np.arange(corpus.num_docs))
+
+    def test_single_topic(self):
+        corpus, dense, weights, samples = self._setup(10, empty_doc=0, num_docs=20, k=1)
+        self._check(corpus, dense, weights, samples, [0, 4, 9, 2, 13, 7, 18])
+
     def test_value_only_matches_oracle(self):
         corpus, dense, weights, samples = self._setup(5)
         docs = np.arange(corpus.num_docs)
@@ -170,6 +214,31 @@ class TestLoglikMatchesLoopOracle:
         assert grads is None
         _assert_close_rel(value, tbip_loglik(dense, corpus.author_of, weights, samples,
                                              docs)[0])
+
+
+def test_loglik_peak_memory_below_dense_batch():
+    """One call with gradients on a 1%-dense batch allocates less than the
+    B x V dense count batch the author-grouped dense kernel needed."""
+    rng = np.random.default_rng(11)
+    num_docs, num_terms, k, num_authors = 256, 20_000, 20, 60
+    counts = sp.random(num_docs, num_terms, density=0.01, format="csr", random_state=rng)
+    counts.data = rng.poisson(1.0, counts.nnz) + 1.0
+    corpus = SparseCorpus(counts, np.arange(num_docs) % num_authors,
+                          [f"a{i}" for i in range(num_authors)])
+    samples = {
+        "theta": rng.gamma(1.0, 1.0, (num_docs, k)) + 0.05,
+        "beta": rng.gamma(1.0, 1.0, (k, num_terms)) + 0.05,
+        "eta": rng.normal(0.0, 0.3, (k, num_terms)),
+        "x": rng.normal(0.0, 1.0, num_authors),
+    }
+    model = TBIPModel(corpus, compute_weights(corpus))
+    tracemalloc.start()
+    try:
+        model.loglik(samples, np.arange(num_docs), want_grads=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < num_docs * num_terms * 8
 
 
 class TestPinnedTiltMatchesFactorization:
@@ -202,7 +271,7 @@ class TestPinnedTiltMatchesFactorization:
 
         theta, beta = samples["theta"], samples["beta"]
         rates = weights[corpus.author_of][:, None] * (theta @ beta)
-        dense = corpus.dense_rows(batch)
+        dense = corpus.counts[batch].toarray()
         from scipy.special import gammaln
 
         pf_lik = float(np.sum(dense * np.log(rates) - rates - gammaln(dense + 1.0)))
