@@ -144,11 +144,15 @@ def influence(fit, corpus, doc):
 
     Positive ratio_vs_zero marks the document as evidence for a more
     extreme position; positive ratio_vs_max / ratio_vs_min mark evidence
-    against the corresponding extreme. Raises ValueError when the fit and
-    `corpus` differ in their number of documents, or `doc` is not one of them.
+    against the corresponding extreme. Pass the corpus as it was before the
+    fit's count transform: a fit with `use_log_transform` in its config is
+    scored on log counts. Raises ValueError when the fit and `corpus`
+    differ in their number of documents, or `doc` is not one of them.
     """
-    from .corpus import compute_weights
+    from .corpus import compute_weights, log_transform
 
+    if fit.config.get("use_log_transform"):
+        corpus = log_transform(corpus)
     if fit.theta_hat.shape[0] != corpus.num_docs:
         raise ValueError(f"fit has {fit.theta_hat.shape[0]} documents "
                          f"but the corpus {corpus.num_docs}")

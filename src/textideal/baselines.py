@@ -10,12 +10,14 @@ with a one-dimensional factor analysis,
 
     pos_sj ~ N(a_j + b_j * x_s, sigma^2),
 
-whose shared noise scale gets a lognormal factor. Both stages train with
-the reparameterized engine.
+whose shared noise scale gets a lognormal factor. Stage one trains every
+debate's wordfish in one run of the reparameterized engine; stage two is
+`fit_factor`'s coordinate ascent.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import namedtuple
 
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import engine
-from .engine import AdamState, Family, NormalPrior, VariationalState, gaussian_families
+from .engine import Family, NormalPrior, VariationalState, gaussian_families
 
 
 class DebateTooSmall(ValueError):
@@ -208,16 +210,10 @@ def _fit_wordfish(blocks, cfg, rngs):
     """
     model = WordfishModel(blocks)
     state = _StreamState(model, rngs)
-    trace = engine.fit(
-        state,
-        model,
-        max_steps=cfg.max_steps,
-        batch_size=model.num_items,
-        rng=None,  # full batch, and every noise draw comes from state.rngs
-        adam=AdamState(cfg.lr),
-        mc_samples=cfg.mc_samples,
-        elbo_report_interval=cfg.elbo_report_interval,
-    )
+    # Full batch (stacked wordshoal can outnumber the default batch size),
+    # and every noise draw comes from state.rngs.
+    full = dataclasses.replace(cfg, batch_size=model.num_items)
+    trace = engine.fit(state, model, full, None)
     means = state.posterior_means()
     return [
         WordfishFit(means["x"][rows], means["psi"][terms], means["b"][terms], trace)

@@ -77,21 +77,23 @@ def _load_stopwords(path):
         return frozenset(w.strip().lower() for w in fh if w.strip())
 
 
+def _config(cls, args, **fields):
+    """A `cls` config from the flags given and `fields`; `cls` supplies every
+    default, since a flag left out sets no attribute on `args`."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+             if hasattr(args, f.name)}
+    return cls(**given, **fields)
+
+
 # ---------------------------------------------------------------------------
 # preprocess
 # ---------------------------------------------------------------------------
 
 
 def cmd_preprocess(args):
+    cfg = _config(corpus_mod.PreprocessConfig, args,
+                  stopwords=_load_stopwords(args.stopwords_file))
     docs = corpus_mod.read_documents_jsonl(args.input)
-    cfg = corpus_mod.PreprocessConfig(
-        min_doc_frequency=args.min_df,
-        max_doc_frequency=args.max_df,
-        min_authors_per_term=args.min_authors,
-        min_docs_per_author=args.min_docs_per_author,
-        stopwords=_load_stopwords(args.stopwords),
-        max_ngram=args.ngrams,
-    )
     built, vocab = corpus_mod.build_corpus(docs, cfg)
     outdir = args.output_dir
     corpus_mod.save_corpus(built, vocab, outdir)
@@ -100,12 +102,12 @@ def cmd_preprocess(args):
     log.info("kept %d documents, %d terms, %d authors",
              built.num_docs, built.num_terms, built.num_authors)
     config = {
-        "min_df": args.min_df,
-        "max_df": args.max_df,
-        "min_authors": args.min_authors,
-        "min_docs_per_author": args.min_docs_per_author,
-        "ngrams": args.ngrams,
-        "stopwords": str(args.stopwords) if args.stopwords else None,
+        "min_df": cfg.min_doc_frequency,
+        "max_df": cfg.max_doc_frequency,
+        "min_authors": cfg.min_authors_per_term,
+        "min_docs_per_author": cfg.min_docs_per_author,
+        "ngrams": cfg.max_ngram,
+        "stopwords": str(args.stopwords_file) if args.stopwords_file else None,
     }
     return config, None, [args.input], None
 
@@ -113,13 +115,6 @@ def cmd_preprocess(args):
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
-
-
-def _train_config(args):
-    """TrainConfig from the training flags given; it supplies every default."""
-    return tbip.TrainConfig(**{f.name: getattr(args, f.name)
-                               for f in dataclasses.fields(tbip.TrainConfig)
-                               if hasattr(args, f.name)})
 
 
 def _resolve_log_counts(mode, built):
@@ -143,7 +138,7 @@ def _save_fit(args, arrays, dims, config, trace, inputs, **extra):
 
 
 def cmd_train_vote(args):
-    cfg = _train_config(args)
+    cfg = _config(tbip.TrainConfig, args)
     votes = vote.load_votes_csv(args.data)
     fit = vote.train_vote(votes, cfg)
     return _save_fit(
@@ -156,11 +151,13 @@ def cmd_train_vote(args):
 
 
 def cmd_train_pf(args):
-    cfg = _train_config(args)
+    cfg = _config(tbip.TrainConfig, args)
     built, _ = corpus_mod.load_corpus(args.data)
     use_log = _resolve_log_counts(args.log_counts, built)
     work = corpus_mod.log_transform(built) if use_log else built
-    theta, beta = pf.pretrain(work, cfg.k, sweeps=cfg.pretrain_sweeps, seed=cfg.seed)
+    priors = tbip.PriorConfig()
+    theta, beta = pf.pretrain(work, cfg.k, priors.a, priors.b, sweeps=cfg.pretrain_sweeps,
+                              seed=cfg.seed)
     return _save_fit(
         args,
         {"theta": theta, "beta": beta},
@@ -172,7 +169,7 @@ def cmd_train_pf(args):
 
 
 def cmd_train_tbip(args):
-    cfg = _train_config(args)
+    cfg = _config(tbip.TrainConfig, args)
     built, _ = corpus_mod.load_corpus(args.data)
     use_log = _resolve_log_counts(args.log_counts, built)
     cfg = dataclasses.replace(cfg, use_log_transform=use_log)
@@ -193,7 +190,7 @@ def cmd_train_tbip(args):
 
 
 def cmd_train_wordfish(args):
-    cfg = _train_config(args)
+    cfg = _config(tbip.TrainConfig, args)
     built, _ = corpus_mod.load_corpus(args.data)
     fit = baselines.train_wordfish(built, cfg)
     return _save_fit(
@@ -206,7 +203,7 @@ def cmd_train_wordfish(args):
 
 
 def cmd_train_wordshoal(args):
-    cfg = _train_config(args)
+    cfg = _config(tbip.TrainConfig, args)
     built, _ = corpus_mod.load_corpus(args.data)
     fields_by_doc = corpus_mod.read_doc_index_csv(args.debates, "debate_id")
     try:
@@ -296,8 +293,6 @@ def cmd_analyze_compare(args):
 def cmd_analyze_influence(args):
     fit = tbip.load_fit(args.fit)
     built, _ = corpus_mod.load_corpus(args.data)
-    if fit.config.get("use_log_transform"):
-        built = corpus_mod.log_transform(built)
     score = analysis.influence(fit, built, args.doc)
     print(f"doc {score.doc_id}: vs_zero {score.ratio_vs_zero:.6g}  "
           f"vs_max {score.ratio_vs_max:.6g}  vs_min {score.ratio_vs_min:.6g}")
@@ -391,15 +386,18 @@ def build_parser():
             return p
         return add
 
-    p = commands.add_parser("preprocess", parents=[output],
+    # Filter flags, likewise, store into the corpus.PreprocessConfig field of
+    # their dest, so PreprocessConfig holds every default.
+    filters = _flags(argument_default=argparse.SUPPRESS)
+    filters.add_argument("--min-df", dest="min_doc_frequency", type=float)
+    filters.add_argument("--max-df", dest="max_doc_frequency", type=float)
+    filters.add_argument("--min-authors", dest="min_authors_per_term", type=int)
+    filters.add_argument("--min-docs-per-author", type=int)
+    filters.add_argument("--ngrams", dest="max_ngram", type=int)
+    p = commands.add_parser("preprocess", parents=[output, filters],
                             help="build corpus files from JSONL documents")
     p.add_argument("--input", required=True, help="JSON-lines documents (id/author/text)")
-    p.add_argument("--min-df", type=float, default=0.001)
-    p.add_argument("--max-df", type=float, default=0.3)
-    p.add_argument("--min-authors", type=int, default=10)
-    p.add_argument("--min-docs-per-author", type=int, default=1)
-    p.add_argument("--stopwords", default=None, help="file with one stopword per line")
-    p.add_argument("--ngrams", type=int, default=3, choices=(1, 2, 3))
+    p.add_argument("--stopwords", dest="stopwords_file", help="file with one stopword per line")
     p.set_defaults(func=cmd_preprocess, run_name="preprocess", parser=p)
 
     train = family("train", "model", "fit a model and write a fit directory", output, seed)

@@ -9,8 +9,8 @@ transform used for long-document corpora.
 from __future__ import annotations
 
 import csv
-import io
 import json
+import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -479,14 +479,13 @@ def _read_counts(path):
     Raises ValueError naming the file on a line that is not exactly two
     integer indices and a number.
     """
-    with open_text(path) as fh:
-        text = fh.read()
-    if not text or text.isspace():
+    with open_text(path) as fh, warnings.catch_warnings():
         # loadtxt warns on input without data; an empty corpus is valid.
-        table = np.empty(0, dtype=_COUNTS_DTYPE)
-    else:
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            table = np.loadtxt(io.StringIO(text), dtype=_COUNTS_DTYPE, comments=None, ndmin=1)
+            table = np.loadtxt(fh, dtype=_COUNTS_DTYPE, comments=None, ndmin=1)
+        except UnicodeDecodeError:
+            raise  # open_text names the file
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return table["doc"], table["term"], table["count"]

@@ -248,7 +248,7 @@ _EPS = 1e-8
 class AdamState:
     """First/second moment accumulators for Adam with bias correction."""
 
-    def __init__(self, lr=0.01):
+    def __init__(self, lr):
         self.lr = lr
         self.t = 0
         self.m = {}
@@ -314,36 +314,27 @@ def finite_difference(fn, params, step=1e-5):
 # ---------------------------------------------------------------------------
 
 
-def fit(
-    state,
-    model,
-    *,
-    max_steps,
-    batch_size,
-    rng,
-    adam=None,
-    mc_samples=1,
-    elbo_report_interval=100,
-    callback=None,
-):
+def fit(state, model, cfg, rng, *, adam=None, callback=None):
     """Run Adam ascent on the reparameterized objective; returns the trace.
 
-    Items are subsampled uniformly without replacement per step; when
-    batch_size >= model.num_items every step uses the full batch in index
-    order, so runs are bitwise reproducible for a fixed seed. The trace
-    holds (step, estimate) pairs every `elbo_report_interval` steps.
+    `cfg` (a `tbip.TrainConfig`) supplies max_steps, batch_size, mc_samples,
+    elbo_report_interval, and the learning rate of the AdamState built when
+    `adam` is None. Items are subsampled uniformly without replacement per
+    step; when batch_size >= model.num_items every step uses the full batch
+    in index order, so runs are bitwise reproducible for a fixed seed. The
+    trace holds (step, estimate) pairs every `elbo_report_interval` steps.
     """
     if adam is None:
-        adam = AdamState()
+        adam = AdamState(cfg.lr)
     num_items = model.num_items
-    full_batch = batch_size >= num_items
+    full_batch = cfg.batch_size >= num_items
     fixed = np.arange(num_items)
     trace = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for step in range(1, max_steps + 1):
-            batch = fixed if full_batch else rng.choice(num_items, batch_size, replace=False)
+        for step in range(1, cfg.max_steps + 1):
+            batch = fixed if full_batch else rng.choice(num_items, cfg.batch_size, replace=False)
             total = None
-            for _ in range(mc_samples):
+            for _ in range(cfg.mc_samples):
                 noise = state.sample_noise(rng)
                 grads = gradient(state, batch, model, num_items, noise)
                 if total is None:
@@ -351,15 +342,15 @@ def fit(
                 else:
                     for key, g in grads.items():
                         total[key] = total[key] + g
-            if mc_samples > 1:
+            if cfg.mc_samples > 1:
                 for key in total:
-                    total[key] = total[key] / mc_samples
+                    total[key] = total[key] / cfg.mc_samples
             value = float(total.pop("__elbo__"))
             if not math.isfinite(value):
                 raise NonFiniteElbo(step, value)
             params = adam_step(adam, state.parameters(), total)
             state.set_parameters(params)
-            if step == 1 or step % elbo_report_interval == 0 or step == max_steps:
+            if step == 1 or step % cfg.elbo_report_interval == 0 or step == cfg.max_steps:
                 trace.append((step, value))
                 if callback is not None:
                     callback(step, value)

@@ -28,14 +28,7 @@ from scipy.special import gammaln
 
 from . import engine, fitio, pf
 from .corpus import compute_weights, log_transform
-from .engine import (
-    AdamState,
-    Family,
-    GammaPrior,
-    NormalPrior,
-    VariationalState,
-    gaussian_families,
-)
+from .engine import Family, GammaPrior, NormalPrior, VariationalState, gaussian_families
 
 
 @dataclass(frozen=True)
@@ -361,17 +354,7 @@ def train_tbip(corpus, cfg, priors=None, init=None):
     rng = np.random.default_rng(cfg.seed)
     state = make_state(work, cfg.k, theta0, beta0, priors, rng)
     model = TBIPModel(work, weights)
-    adam = AdamState(cfg.lr)
-    trace = engine.fit(
-        state,
-        model,
-        max_steps=cfg.max_steps,
-        batch_size=cfg.batch_size,
-        rng=rng,
-        adam=adam,
-        mc_samples=cfg.mc_samples,
-        elbo_report_interval=cfg.elbo_report_interval,
-    )
+    trace = engine.fit(state, model, cfg, rng)
     means = state.posterior_means()
     config = {"model": "tbip", "priors": dataclasses.asdict(priors), **cfg.asdict()}
     return FitResult(

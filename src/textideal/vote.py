@@ -14,7 +14,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import engine
-from .engine import AdamState, NormalPrior, VariationalState, gaussian_families
+from .engine import NormalPrior, VariationalState, gaussian_families
 from .fitio import open_text
 
 
@@ -133,16 +133,7 @@ def train_vote(votes, cfg):
     rng = np.random.default_rng(cfg.seed)
     state = make_state(votes.num_lawmakers, votes.num_bills, rng)
     model = VoteModel(votes)
-    trace = engine.fit(
-        state,
-        model,
-        max_steps=cfg.max_steps,
-        batch_size=cfg.batch_size,
-        rng=rng,
-        adam=AdamState(cfg.lr),
-        mc_samples=cfg.mc_samples,
-        elbo_report_interval=cfg.elbo_report_interval,
-    )
+    trace = engine.fit(state, model, cfg, rng)
     means = state.posterior_means()
     return VoteFit(means["x"], means["alpha"], means["eta"], trace)
 

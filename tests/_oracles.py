@@ -8,6 +8,7 @@ one arange per bill, one engine run per wordfish debate, one dict update
 per n-gram in preprocessing, one write per counts line).
 """
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -282,11 +283,7 @@ def wordfish_fit(counts, cfg, rng):
     state = engine.VariationalState(
         families, {name: engine.NormalPrior(1.0) for name in families}
     )
-    trace = engine.fit(
-        state, Model(), max_steps=cfg.max_steps, batch_size=num_authors, rng=rng,
-        adam=engine.AdamState(cfg.lr),
-        mc_samples=cfg.mc_samples, elbo_report_interval=cfg.elbo_report_interval,
-    )
+    trace = engine.fit(state, Model(), dataclasses.replace(cfg, batch_size=num_authors), rng)
     return state.posterior_means(), trace
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -20,7 +21,7 @@ from textideal.analysis import (
     save_ideal_points_csv,
     topic_report,
 )
-from textideal.corpus import SparseCorpus, Vocabulary, compute_weights
+from textideal.corpus import SparseCorpus, Vocabulary, compute_weights, log_transform
 from textideal.tbip import FitResult, log_likelihood_doc, tbip_rate
 
 
@@ -220,6 +221,17 @@ class TestInfluence:
         assert abs(score.ratio_vs_zero - (base - oracle(0.0))) <= 1e-12
         assert abs(score.ratio_vs_max - (base - oracle(fit.x_hat.max()))) <= 1e-12
         assert abs(score.ratio_vs_min - (base - oracle(fit.x_hat.min()))) <= 1e-12
+
+    def test_log_count_fit_is_scored_on_log_counts(self):
+        corpus = SparseCorpus(sp.csr_matrix(np.array([[9.0, 0, 4], [0, 2, 0], [30, 1, 6]])),
+                              [0, 1, 0], ["left", "right"])
+        rng = np.random.default_rng(7)
+        fit = _fit(rng.gamma(1, 1, (2, 3)) + 0.1, rng.standard_normal((2, 3)),
+                   theta=rng.gamma(1, 1, (3, 2)) + 0.1, x=np.array([-0.7, 1.1]))
+        log_fit = dataclasses.replace(fit, config={"use_log_transform": True})
+        for doc in range(3):
+            assert influence(log_fit, corpus, doc) == influence(fit, log_transform(corpus), doc)
+        assert influence(log_fit, corpus, 2) != influence(fit, corpus, 2)
 
     def test_ratios_survive_document_reindexing(self):
         corpus = _small_corpus()

@@ -28,7 +28,7 @@ from textideal.corpus import (
     save_weights,
     tokenize,
 )
-from textideal.corpus import _next_order, _pair_codes
+from textideal.corpus import _next_order, _pair_codes, _read_counts
 
 
 class TestTokenize:
@@ -532,6 +532,25 @@ class TestBuildCorpusMemory:
         expected, oracle_peak = _traced_peak(_build_outcome, _oracles.build_corpus, docs, cfg)
         assert got == expected
         assert peak < oracle_peak / 2
+
+
+class TestReadCountsMemory:
+    def test_peak_below_arrays_plus_one_copy_of_the_file(self, tmp_path):
+        """The parser reads the open file: no whole-file string or StringIO
+        copy, so the traced peak stays below the parsed table (24 bytes a
+        line) plus the file's size, and the arrays match a float parse."""
+        rng = np.random.default_rng(0)
+        n = 50_000
+        lines = zip(np.repeat(np.arange(n // 50), 50), rng.integers(0, 20_000, n),
+                    rng.integers(1, 9, n))
+        path = tmp_path / "counts.txt"
+        path.write_text("".join(f"{d} {t} {c}\n" for d, t, c in lines), encoding="utf-8")
+        (docs, terms, counts), peak = _traced_peak(_read_counts, path)
+        table = np.loadtxt(path, dtype=np.float64, ndmin=2)
+        assert np.array_equal(docs, table[:, 0]) and docs.dtype == np.int64
+        assert np.array_equal(terms, table[:, 1]) and terms.dtype == np.int64
+        assert np.array_equal(counts, table[:, 2])
+        assert peak < 24 * n + path.stat().st_size
 
 
 class TestPairCodes:

@@ -17,6 +17,7 @@ from textideal.engine import (
     finite_difference,
     gradient,
 )
+from textideal.tbip import TrainConfig
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -305,8 +306,8 @@ class TestUnderflow:
 
     def test_fit_runs_through_underflow(self):
         state, model, corpus, rng = self._underflowed_state(15)
-        trace = engine.fit(state, model, max_steps=20, batch_size=2, rng=rng,
-                           elbo_report_interval=1)
+        cfg = TrainConfig(max_steps=20, batch_size=2, elbo_report_interval=1)
+        trace = engine.fit(state, model, cfg, rng)
         assert len(trace) == 20
         assert all(math.isfinite(value) for _, value in trace)
         for arr in state.parameters().values():
@@ -364,7 +365,54 @@ class TestElboUnbiasedness:
         assert abs(mc_mean - oracle) <= 3.0 * mc_se
 
 
+class _RecordingModel:
+    """One real factor per item, a standard normal likelihood; keeps every batch."""
+
+    def __init__(self, num_items):
+        self.num_items = num_items
+        self.batches = []
+
+    def loglik(self, samples, batch, want_grads=False):
+        self.batches.append(np.array(batch))
+        x = samples["x"][batch]
+        grads = None
+        if want_grads:
+            grads = {"x": np.zeros(self.num_items)}
+            grads["x"][batch] = -x
+        return float(-0.5 * np.sum(x * x)), grads
+
+
+def _recording_fit(num_items, **settings):
+    model = _RecordingModel(num_items)
+    state = VariationalState(
+        engine.gaussian_families({"x": num_items}, np.random.default_rng(0)),
+        {"x": NormalPrior(1.0)},
+    )
+    trace = engine.fit(state, model, TrainConfig(**settings), np.random.default_rng(1))
+    return model, trace
+
+
 class TestFitLoop:
+    def test_trace_reports_first_every_interval_and_last_step(self):
+        _, trace = _recording_fit(4, max_steps=10, batch_size=2, elbo_report_interval=4)
+        assert [step for step, _ in trace] == [1, 4, 8, 10]
+
+    @pytest.mark.parametrize("batch_size", [5, 6])
+    def test_batch_of_all_items_is_full_batch_in_index_order(self, batch_size):
+        model, _ = _recording_fit(5, max_steps=3, batch_size=batch_size, mc_samples=2)
+        assert len(model.batches) == 6
+        for batch in model.batches:
+            assert np.array_equal(batch, np.arange(5))
+
+    def test_smaller_batch_subsamples_without_replacement(self):
+        model, _ = _recording_fit(5, max_steps=20, batch_size=4)
+        assert all(np.unique(batch).size == 4 for batch in model.batches)
+        assert any(not np.array_equal(np.sort(b), np.arange(4)) for b in model.batches)
+
+    def test_adam_state_needs_a_learning_rate(self):
+        with pytest.raises(TypeError):
+            AdamState()
+
     def test_nonfinite_objective_raises_with_step(self):
         state = VariationalState(
             {"x": Family(np.array([800.0]), np.zeros(1))},
@@ -380,8 +428,8 @@ class TestFitLoop:
                 return value, grads
 
         with pytest.raises(engine.NonFiniteElbo) as err:
-            engine.fit(state, ExplodingModel(), max_steps=5, batch_size=1,
-                       rng=np.random.default_rng(0))
+            engine.fit(state, ExplodingModel(), TrainConfig(max_steps=5, batch_size=1),
+                       np.random.default_rng(0))
         assert err.value.step >= 1
 
     def test_model_value_error_propagates(self):
@@ -396,4 +444,4 @@ class TestFitLoop:
         # A subsampled batch is a caller error for the full-batch model, not
         # a non-finite objective.
         with pytest.raises(ValueError, match="full-batch"):
-            engine.fit(state, model, max_steps=2, batch_size=2, rng=rng)
+            engine.fit(state, model, TrainConfig(max_steps=2, batch_size=2), rng)

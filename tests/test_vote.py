@@ -128,10 +128,7 @@ class TestTrainVote:
                                  np.random.default_rng(cfg.seed))
         model = VoteModel(votes)
         rng = np.random.default_rng(cfg.seed)
-        engine.fit(train_state, model, max_steps=cfg.max_steps,
-                   batch_size=votes.num_bills, rng=rng,
-                   adam=engine.AdamState(cfg.lr),
-                   elbo_report_interval=cfg.elbo_report_interval)
+        engine.fit(train_state, model, cfg, rng)
         noise = train_state.sample_noise(np.random.default_rng(77))
         batch = np.arange(votes.num_bills)
         fitted = engine.elbo_estimate(train_state, batch, model,
