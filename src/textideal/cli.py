@@ -129,12 +129,10 @@ def _resolve_log_counts(mode, built):
     return decision
 
 
-def _save_fit(args, arrays, dims, config, trace, inputs, **extra):
+def _save_fit(args, arrays, config, trace, inputs, **names):
     """Write the fit directory of one trained model."""
-    seed = config["seed"]
-    manifest = {"dims": dims, "config": config, "seed": seed, **extra}
-    fitio.save_fit_dir(args.output_dir, arrays, manifest, trace)
-    return config, seed, inputs, trace[-1][1] if trace else None
+    fitio.save_fit_dir(args.output_dir, arrays, config, trace, **names)
+    return config, config["seed"], inputs, trace[-1][1] if trace else None
 
 
 def cmd_train_vote(args):
@@ -144,7 +142,6 @@ def cmd_train_vote(args):
     return _save_fit(
         args,
         {"x": fit.x_hat, "alpha": fit.alpha_hat, "eta": fit.eta_hat},
-        {"num_lawmakers": votes.num_lawmakers, "num_bills": votes.num_bills},
         {"model": "vote", **cfg.asdict()}, fit.elbo_trace, [args.data],
         author_names=votes.lawmaker_names,
     )
@@ -161,7 +158,6 @@ def cmd_train_pf(args):
     return _save_fit(
         args,
         {"theta": theta, "beta": beta},
-        {"num_docs": built.num_docs, "num_topics": cfg.k, "num_terms": built.num_terms},
         {"model": "pf", "k": cfg.k, "sweeps": cfg.pretrain_sweeps, "seed": cfg.seed,
          "use_log_transform": use_log},
         [], [args.data],
@@ -196,7 +192,6 @@ def cmd_train_wordfish(args):
     return _save_fit(
         args,
         {"x": fit.x_hat, "psi": fit.psi_hat, "b": fit.b_hat},
-        {"num_authors": built.num_authors, "num_terms": built.num_terms},
         {"model": "wordfish", **cfg.asdict()}, fit.elbo_trace, [args.data],
         author_names=built.author_names,
     )
@@ -215,7 +210,6 @@ def cmd_train_wordshoal(args):
     return _save_fit(
         args,
         {"x": fit.x_hat, "debate_positions": fit.debate_positions},
-        {"num_authors": built.num_authors, "num_debates": dcorpus.num_debates},
         {"model": "wordshoal", **cfg.asdict()}, fit.elbo_trace, [args.data, args.debates],
         author_names=built.author_names, debate_ids=dcorpus.debate_ids,
     )

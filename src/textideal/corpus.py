@@ -496,8 +496,8 @@ def load_corpus(indir):
 
     An authors file without the doc_id column gives the default ids doc{d}.
     Raises ValueError on a malformed counts or authors line, a counts file
-    that repeats a (doc, term) pair, or an authors file that repeats a
-    doc_index.
+    that repeats a (doc, term) pair or holds an index outside the documents
+    or the vocabulary, or an authors file that repeats a doc_index.
     """
     indir = Path(indir)
     vocab = load_vocabulary(indir)
@@ -514,13 +514,18 @@ def load_corpus(indir):
     author_index = {a: s for s, a in enumerate(author_names)}
     author_of = np.array([author_index[fields[0]] for fields in doc_rows], dtype=np.int64)
 
-    rows, cols, vals = _read_counts(indir / COUNTS_FILE)
+    counts_path = indir / COUNTS_FILE
+    rows, cols, vals = _read_counts(counts_path)
+    for kind, index, bound in (("doc", rows, num_docs), ("term", cols, len(vocab))):
+        bad = index[(index < 0) | (index >= bound)]
+        if bad.size:
+            raise ValueError(f"{counts_path}: {kind} index {bad[0]} is outside [0, {bound})")
     counts = sp.csr_matrix(
         (vals, (rows, cols)), shape=(num_docs, len(vocab)), dtype=np.float64
     )
     # Building the CSR matrix sums repeated (doc, term) lines into one entry.
     if counts.nnz != len(vals):
-        raise ValueError(f"{indir / COUNTS_FILE} repeats a (doc, term) pair")
+        raise ValueError(f"{counts_path} repeats a (doc, term) pair")
     doc_ids = [fields[1] if len(fields) > 1 else f"doc{d}" for d, fields in enumerate(doc_rows)]
     return SparseCorpus(counts, author_of, author_names, doc_ids), vocab
 

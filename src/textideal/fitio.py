@@ -1,9 +1,11 @@
 """On-disk layout for fitted models.
 
-A fit directory holds `manifest.json` (dims, config, seed and the array
-name -> shape table), one `<name>.bin` of row-major float64 per array, and
-`elbo.csv` with the recorded (step, value) trace. Name-keyed scores (author
-weights, ideal points) are two-column CSVs of a name and a float.
+A fit directory, written only by `save_fit_dir`, holds `manifest.json` (the
+config with the model and its seed, the array name -> shape table, and name
+lists such as `author_names`), one `<name>.bin` of row-major float64 per
+array, and `elbo.csv` with the recorded (step, value) trace, header-only when
+none was recorded. Name-keyed scores (author weights, ideal points) are
+two-column CSVs of a name and a float.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -36,43 +39,67 @@ def open_text(path, newline=None):
         ) from None
 
 
-def save_fit_dir(outdir, arrays, manifest=None, elbo_trace=None):
-    """Write arrays plus manifest/trace; `manifest` supplies extra fields."""
+def save_fit_dir(outdir, arrays, config, elbo_trace=(), **names):
+    """Write `arrays`, the manifest and the trace; `config` holds the model and
+    its seed, `names` the name lists, such as author_names."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    doc = dict(manifest or {})
-    doc["format"] = FORMAT_TAG
-    doc["arrays"] = {name: list(arr.shape) for name, arr in arrays.items()}
     for name, arr in arrays.items():
         np.ascontiguousarray(arr, dtype=np.float64).tofile(outdir / f"{name}.bin")
+    manifest = {**names, "format": FORMAT_TAG, "config": config,
+                "arrays": {name: list(arr.shape) for name, arr in arrays.items()}}
     with open(outdir / MANIFEST_FILE, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if elbo_trace is not None:
-        with open(outdir / ELBO_FILE, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "elbo"])
-            for step, value in elbo_trace:
-                writer.writerow([step, repr(float(value))])
+    with open(outdir / ELBO_FILE, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "elbo"])
+        for step, value in elbo_trace:
+            writer.writerow([step, repr(float(value))])
 
 
 def load_fit_dir(indir):
-    """Return (arrays, manifest, elbo_trace) from a fit directory."""
+    """Return (arrays, manifest, elbo_trace) from a fit directory.
+
+    Raises ValueError naming the file on a manifest that is not a JSON
+    object, a `.bin` that does not hold its shape, author_names that do not
+    name each row of x, or an `elbo.csv` row that is not a step and a
+    number. Manifest keys it does not read, such as older fits' `dims` and
+    `seed`, are kept.
+    """
     indir = Path(indir)
-    with open_text(indir / MANIFEST_FILE) as fh:
-        manifest = json.load(fh)
+    manifest_path = indir / MANIFEST_FILE
+    with open_text(manifest_path) as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{manifest_path}: invalid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: expected a JSON object")
     arrays = {}
     for name, shape in manifest.get("arrays", {}).items():
-        data = np.fromfile(indir / f"{name}.bin", dtype=np.float64)
+        path = indir / f"{name}.bin"
+        data = np.fromfile(path, dtype=np.float64)
+        if data.size != math.prod(shape):
+            raise ValueError(f"{path}: {data.size} values for shape {shape}")
         arrays[name] = data.reshape(shape)
-    trace = []
+    names = manifest.get("author_names")
+    if names is not None and "x" in arrays and arrays["x"].shape[:1] != (len(names),):
+        raise ValueError(f"{manifest_path}: {len(names)} author_names for x of "
+                         f"shape {list(arrays['x'].shape)}")
     elbo_path = indir / ELBO_FILE
-    if elbo_path.exists():
-        with open_text(elbo_path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0] == "step":
-                    continue
+    trace = []
+    with open_text(elbo_path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0] == "step":
+                continue
+            try:
                 trace.append((int(row[0]), float(row[1])))
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"{elbo_path}:{reader.line_num}: expected a step and a number, got {row!r}"
+                ) from None
     return arrays, manifest, trace
 
 

@@ -221,8 +221,9 @@ def pf_elbo(state, corpus):
     return value
 
 
-def pretrain(corpus, num_topics, a=0.3, b=0.3, sweeps=100, seed=0, tol=1e-6):
-    """Initial estimates of intensities (D x K) and topics (K x V).
+def pretrain(corpus, num_topics, a, b, sweeps=100, seed=0, tol=1e-6):
+    """Initial estimates of intensities (D x K) and topics (K x V) under a
+    Gamma(a, b) prior; callers pass `tbip.PriorConfig`'s.
 
     Sweeps stop early once the relative objective change drops below `tol`;
     no objective is evaluated after the last sweep, since none can change

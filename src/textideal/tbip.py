@@ -379,19 +379,8 @@ def save_fit(fit, outdir):
     }
     if fit.eta_sigma is not None:
         arrays["eta_sigma"] = fit.eta_sigma
-    d, k = fit.theta_hat.shape
-    manifest = {
-        "dims": {
-            "num_docs": d,
-            "num_topics": k,
-            "num_terms": fit.beta_hat.shape[1],
-            "num_authors": int(fit.x_hat.shape[0]),
-        },
-        "config": fit.config,
-        "seed": fit.config.get("seed"),
-        "author_names": fit.author_names,
-    }
-    fitio.save_fit_dir(outdir, arrays, manifest, fit.elbo_trace)
+    fitio.save_fit_dir(outdir, arrays, fit.config, fit.elbo_trace,
+                       author_names=fit.author_names)
 
 
 def load_fit(indir):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from textideal import fitio
+from textideal import fitio, tbip
 from textideal.analysis import save_ideal_points_csv
 from textideal.cli import build_parser, main
 
@@ -66,8 +66,9 @@ def valid_inputs(tmp_path_factory, synth_corpus_dir, tbip_fit_dir):
                     encoding="utf-8")
     reference = root / "ref.csv"
     save_ideal_points_csv(reference, [f"author{a}" for a in range(8)], np.arange(8.0))
+    assert run(["synth", "votes", "--output-dir", root, "--docs", "20", "--authors", "6"]) == 0
     return {"docs": docs, "corpus": synth_corpus_dir, "fit": tbip_fit_dir,
-            "reference": reference,
+            "reference": reference, "votes": root / "votes.csv",
             "debates": parity_debate_labels(synth_corpus_dir, root / "debates.csv")}
 
 
@@ -299,6 +300,27 @@ class TestTrain:
         assert not (tmp_path / "pf" / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("extra_line, message", [
+        ("0 999 1", "term index 999 is outside [0, {terms})"),
+        ("999 0 1", "doc index 999 is outside [0, {docs})"),
+        ("-1 0 1", "doc index -1 is outside [0, {docs})"),
+    ])
+    def test_counts_index_out_of_range_exits_2(self, synth_corpus_dir, tmp_path, caplog,
+                                               extra_line, message):
+        data = tmp_path / "data"
+        shutil.copytree(synth_corpus_dir, data)
+        with open(data / "counts.txt", "a", encoding="utf-8") as fh:
+            fh.write(extra_line + "\n")
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["train", "pf", "--data", data, "--output-dir", tmp_path / "pf",
+                      "--k", "2", "--pretrain-sweeps", "2"])
+        assert rc == 2
+        docs = len((data / "authors.csv").read_text().splitlines()) - 1  # less the header
+        terms = len((data / "vocabulary.txt").read_text().splitlines())
+        message = message.format(docs=docs, terms=terms)
+        assert f"{data / 'counts.txt'}: {message}" in caplog.text
+        assert not (tmp_path / "pf" / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("extra_line, message", [
         ("7", "line"),
         ("7,author9,x", "repeats doc_index 7"),
     ])
@@ -444,7 +466,7 @@ class TestAnalyze:
     def test_compare_quotes_names_and_keeps_header_words(self, tmp_path):
         names = ["Smith, John", "name", 'Q "x"', "score"]
         x = np.array([0.5, -1.25, 2.0, 0.125])
-        fitio.save_fit_dir(tmp_path / "fit", {"x": x}, {"author_names": names})
+        fitio.save_fit_dir(tmp_path / "fit", {"x": x}, {}, author_names=names)
         save_ideal_points_csv(tmp_path / "ref.csv", names, 2.0 * x + 1.0)
         out = tmp_path / "cmp"
         assert run(["analyze", "compare", "--fit", tmp_path / "fit",
@@ -547,6 +569,114 @@ class TestAnalyze:
                   synth_corpus_dir, "--output-dir", tmp_path / "x",
                   "--doc", "100000"])
         assert rc == 2
+
+
+# Each train command, and the name lists its manifest holds.
+TRAIN_ARGV = {
+    "tbip": (["train", "tbip", "--data", "{corpus}", "--k", "2", "--batch", "64",
+              "--steps", "5", "--log-counts", "off", "--pretrain-sweeps", "2"],
+             {"author_names"}),
+    "pf": (["train", "pf", "--data", "{corpus}", "--k", "2", "--pretrain-sweeps", "2"], set()),
+    "vote": (["train", "vote", "--data", "{votes}", "--steps", "5"], {"author_names"}),
+    "wordfish": (["train", "wordfish", "--data", "{corpus}", "--steps", "5"], {"author_names"}),
+    "wordshoal": (["train", "wordshoal", "--data", "{corpus}", "--debates", "{debates}",
+                   "--steps", "5"], {"author_names", "debate_ids"}),
+}
+
+
+def with_dims_and_seed(fit_dir, dest, dims):
+    """Copy a fit directory into `dest` in the layout of earlier versions,
+    whose manifest also held the array `dims` and a top-level `seed`."""
+    shutil.copytree(fit_dir, dest)
+    manifest = json.loads((dest / "manifest.json").read_text())
+    manifest.update(dims=dims, seed=manifest["config"]["seed"])
+    (dest / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return dest
+
+
+class TestFitDirectory:
+    @pytest.mark.parametrize("argv, names", TRAIN_ARGV.values(), ids=TRAIN_ARGV.keys())
+    def test_manifest_holds_format_config_arrays_and_names(self, valid_inputs, tmp_path,
+                                                           argv, names):
+        out = tmp_path / "fit"
+        argv = [a.format(**valid_inputs) for a in argv]
+        assert run([*argv, "--seed", "4", "--output-dir", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == {"format", "config", "arrays"} | names
+        assert manifest["config"]["model"] == argv[1]
+        assert manifest["config"]["seed"] == 4
+        arrays, _, _ = fitio.load_fit_dir(out)
+        assert {name: list(arr.shape) for name, arr in arrays.items()} == manifest["arrays"]
+        assert (out / "elbo.csv").read_text().startswith("step,elbo\n")
+
+    def test_fit_with_dims_and_seed_still_loads(self, synth_corpus_dir, tbip_fit_dir,
+                                                tmp_path):
+        fit = with_dims_and_seed(tbip_fit_dir, tmp_path / "tbip", {
+            "num_docs": 120, "num_topics": 2, "num_terms": 60, "num_authors": 8})
+        assert np.array_equal(tbip.load_fit(fit).x_hat, tbip.load_fit(tbip_fit_dir).x_hat)
+        assert run(["analyze", "align", "--fit", fit, "--output-dir", tmp_path / "a"]) == 0
+        assert run(["analyze", "align", "--fit", tbip_fit_dir,
+                    "--output-dir", tmp_path / "b"]) == 0
+        assert ((tmp_path / "a" / "ideal_points.csv").read_bytes()
+                == (tmp_path / "b" / "ideal_points.csv").read_bytes())
+        assert run(["train", "pf", "--data", synth_corpus_dir, "--output-dir", tmp_path / "pf",
+                    "--k", "2", "--pretrain-sweeps", "2", "--log-counts", "off"]) == 0
+        pfdir = with_dims_and_seed(tmp_path / "pf", tmp_path / "pf_old", {
+            "num_docs": 120, "num_topics": 2, "num_terms": 60})
+        assert run(["train", "tbip", "--data", synth_corpus_dir, "--output-dir",
+                    tmp_path / "warm", "--k", "2", "--batch", "64", "--steps", "5",
+                    "--log-counts", "off", "--pretrain-dir", pfdir]) == 0
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("x.bin", b"\0" * 56, "x.bin: 7 values for shape [8]"),
+        ("manifest.json", b"{bad", "manifest.json: invalid JSON"),
+        ("manifest.json", b"[1]", "manifest.json: expected a JSON object"),
+        ("elbo.csv", b"step,elbo\n1,-3.5\n5,abc\n",
+         "elbo.csv:3: expected a step and a number"),
+    ], ids=["truncated x.bin", "manifest not JSON", "manifest not an object",
+            "elbo.csv row not a number"])
+    def test_malformed_fit_file_exits_2_naming_it(self, tbip_fit_dir, tmp_path, caplog,
+                                                  name, content, message):
+        fit = tmp_path / "fit"
+        shutil.copytree(tbip_fit_dir, fit)
+        (fit / name).write_bytes(content)
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["analyze", "align", "--fit", fit, "--output-dir", out])
+        assert rc == 2
+        assert f"{fit}/{message}" in caplog.text
+        assert not (out / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("name", ["x.bin", "elbo.csv"])
+    def test_missing_fit_file_exits_1_naming_it(self, tbip_fit_dir, tmp_path, caplog, name):
+        fit = tmp_path / "fit"
+        shutil.copytree(tbip_fit_dir, fit)
+        (fit / name).unlink()
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["analyze", "align", "--fit", fit, "--output-dir", out])
+        assert rc == 1
+        assert str(fit / name) in caplog.text
+        assert not (out / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "align"],
+        ["analyze", "compare", "--reference", "{reference}"],
+    ], ids=["align", "compare"])
+    def test_author_names_not_naming_each_point_exits_2(self, valid_inputs, tmp_path, caplog,
+                                                        argv):
+        fit = tmp_path / "fit"
+        shutil.copytree(valid_inputs["fit"], fit)
+        manifest = json.loads((fit / "manifest.json").read_text())
+        manifest["author_names"].pop()
+        (fit / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run([*(a.format(**valid_inputs) for a in argv), "--fit", fit,
+                      "--output-dir", out])
+        assert rc == 2
+        assert f"{fit / 'manifest.json'}: 7 author_names for x of shape [8]" in caplog.text
+        assert not (out / "run_manifest.json").exists()
 
 
 class TestFlags:

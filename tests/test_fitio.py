@@ -30,7 +30,7 @@ class TestFitDirProperties:
         with tempfile.TemporaryDirectory() as tmp:
             save_fit_dir(tmp, arrays, {"model": "any"}, trace)
             loaded, manifest, trace2 = load_fit_dir(tmp)
-        assert manifest["model"] == "any"
+        assert manifest["config"]["model"] == "any"
         assert set(loaded) == set(arrays)
         for name, arr in arrays.items():
             assert loaded[name].shape == arr.shape

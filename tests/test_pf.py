@@ -146,7 +146,7 @@ class TestMatchesLoopOracle:
         rng = np.random.default_rng(21)
         corpus = _with_empty_row(rng, 12, 10, empty_row=0)
         rows, cols, y = corpus.entries()
-        theta, beta = pf.pretrain(corpus, 3, sweeps=6, seed=5, tol=0.0)
+        theta, beta = pf.pretrain(corpus, 3, a=0.3, b=0.3, sweeps=6, seed=5, tol=0.0)
         state = pf.init_state(12, 10, 3, 0.3, 0.3, np.random.default_rng(5))
         for _ in range(6):
             ts, tr, bs, br = pf_sweep(state, rows, cols, y, corpus.counts.shape)
@@ -260,7 +260,7 @@ class TestPretrain:
     def test_outputs_positive_with_right_shapes(self):
         rng = np.random.default_rng(5)
         corpus = _random_corpus(rng, 12, 9)
-        theta, beta = pf.pretrain(corpus, 4, sweeps=20, seed=0)
+        theta, beta = pf.pretrain(corpus, 4, a=0.3, b=0.3, sweeps=20, seed=0)
         assert theta.shape == (12, 4) and beta.shape == (4, 9)
         assert np.all(theta > 0) and np.all(beta > 0)
 
@@ -268,7 +268,7 @@ class TestPretrain:
         spec = SynthSpec(num_docs=200, num_terms=50, num_authors=10,
                          num_topics=3, polarity_scale=0.0, seed=1)
         corpus, truth = sample_tbip(spec)
-        theta, beta = pf.pretrain(corpus, 3, sweeps=200, seed=0)
+        theta, beta = pf.pretrain(corpus, 3, a=0.3, b=0.3, sweeps=200, seed=0)
         est = (theta @ beta).ravel()
         true = (truth.theta @ truth.beta).ravel()
         assert np.corrcoef(est, true)[0, 1] > 0.9
@@ -276,8 +276,8 @@ class TestPretrain:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(6)
         corpus = _random_corpus(rng, 10, 8)
-        t1, b1 = pf.pretrain(corpus, 3, sweeps=15, seed=42)
-        t2, b2 = pf.pretrain(corpus, 3, sweeps=15, seed=42)
+        t1, b1 = pf.pretrain(corpus, 3, a=0.3, b=0.3, sweeps=15, seed=42)
+        t2, b2 = pf.pretrain(corpus, 3, a=0.3, b=0.3, sweeps=15, seed=42)
         assert np.array_equal(t1, t2) and np.array_equal(b1, b2)
 
     @pytest.mark.parametrize("sweeps", [1, 2, 5])
@@ -295,13 +295,13 @@ class TestPretrain:
 
         phi_pass = pf._phi_pass
         monkeypatch.setattr(pf, "_phi_pass", counted)
-        pf.pretrain(corpus, 3, sweeps=sweeps, seed=0, tol=0.0)
+        pf.pretrain(corpus, 3, a=0.3, b=0.3, sweeps=sweeps, seed=0, tol=0.0)
         assert len(calls) == sweeps
 
     def test_invalid_arguments(self):
         rng = np.random.default_rng(7)
         corpus = _random_corpus(rng, 4, 4)
         with pytest.raises(ValueError):
-            pf.pretrain(corpus, 0)
+            pf.pretrain(corpus, 0, a=0.3, b=0.3)
         with pytest.raises(ValueError):
-            pf.pretrain(corpus, 2, sweeps=0)
+            pf.pretrain(corpus, 2, a=0.3, b=0.3, sweeps=0)
