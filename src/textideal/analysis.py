@@ -22,11 +22,10 @@ class AlignedIdealPoints:
     """Standardized ideal points, sign-matched to a reference when given."""
 
     values: np.ndarray
-    reference_name: str | None = None
     sign_flipped: bool = False
 
 
-def align(points, reference=None, reference_name=None):
+def align(points, reference=None):
     """Standardize to mean 0, sd 1; negate if anti-correlated with `reference`."""
     points = np.asarray(points, dtype=np.float64)
     if points.size < 2:
@@ -44,7 +43,7 @@ def align(points, reference=None, reference_name=None):
         if r < 0:
             values = -values
             flipped = True
-    return AlignedIdealPoints(values, reference_name, flipped)
+    return AlignedIdealPoints(values, flipped)
 
 
 def _pearson(a, b):

@@ -95,18 +95,14 @@ def aggregate_by_author(corpus, doc_idx=None):
     Restricted to `doc_idx` when given; returns (matrix, author_indices)
     where row r holds the pooled counts of author author_indices[r].
     """
-    import scipy.sparse as sp
-
     if doc_idx is None:
         doc_idx = np.arange(corpus.num_docs)
-    authors = corpus.author_of[doc_idx]
-    present, rows = np.unique(authors, return_inverse=True)
-    pooling = sp.csr_matrix(
-        (np.ones(doc_idx.size), (rows, np.arange(doc_idx.size))),
-        shape=(present.size, doc_idx.size),
-    )
-    dense = np.asarray((pooling @ corpus.counts[doc_idx]).todense())
-    return dense, present
+    present, rank = np.unique(corpus.author_of[doc_idx], return_inverse=True)
+    indptr, terms, counts = corpus.row_entries(doc_idx)
+    # Integer counts sum exactly in any order. bincount of no entries is ints.
+    cells = rank.repeat(np.diff(indptr)) * corpus.num_terms + terms
+    dense = np.bincount(cells, weights=counts, minlength=present.size * corpus.num_terms)
+    return dense.astype(np.float64, copy=False).reshape(present.size, corpus.num_terms), present
 
 
 def _runs(sizes):

@@ -179,6 +179,10 @@ def cmd_train_tbip(args):
         if pretrain_config.get("use_log_transform", False) != use_log:
             raise ValueError(f"{args.pretrain_dir} was pretrained with a count "
                              f"transform other than use_log_transform={use_log}")
+        missing = [name for name in ("theta", "beta") if name not in arrays]
+        if missing:
+            raise ValueError(f"{args.pretrain_dir} is not a pf fit: missing arrays "
+                             f"{', '.join(missing)}")
         init = (arrays["theta"], arrays["beta"])
     fit = tbip.train_tbip(built, cfg, init=init)
     tbip.save_fit(fit, args.output_dir)
@@ -200,11 +204,10 @@ def cmd_train_wordfish(args):
 def cmd_train_wordshoal(args):
     cfg = _config(tbip.TrainConfig, args)
     built, _ = corpus_mod.load_corpus(args.data)
-    fields_by_doc = corpus_mod.read_doc_index_csv(args.debates, "debate_id")
-    try:
-        labels = [fields_by_doc[d][0] for d in range(built.num_docs)]
-    except KeyError as exc:
-        raise ValueError(f"debate labels missing doc_index {exc.args[0]}") from None
+    labels = [fields[0] for fields in corpus_mod.read_doc_index_csv(args.debates, "debate_id")]
+    if len(labels) != built.num_docs:
+        raise ValueError(f"{args.debates}: labels {len(labels)} documents, "
+                         f"the corpus has {built.num_docs}")
     dcorpus = baselines.DebateLabeledCorpus.build(built, labels)
     fit = baselines.train_wordshoal(dcorpus, cfg)
     return _save_fit(
@@ -250,8 +253,7 @@ def cmd_analyze_align(args):
         inputs.append(args.reference)
         # align rejects a reference that leaves a fitted author unmatched.
         _, reference = analysis.match_by_name(names, points, ref_names, ref_scores)
-    aligned = analysis.align(points, reference,
-                             reference_name=args.reference)
+    aligned = analysis.align(points, reference)
     args.output_dir.mkdir(parents=True, exist_ok=True)
     analysis.save_ideal_points_csv(args.output_dir / "ideal_points.csv", names,
                                    aligned.values)
@@ -268,7 +270,8 @@ def cmd_analyze_compare(args):
     print(f"pearson {abs(pearson):.3f}  spearman {abs(spearman):.3f}")
     outdir = args.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    matched = [n for n in names if n in set(ref_names)]
+    ref_set = set(ref_names)
+    matched = [n for n in names if n in ref_set]
     with open(outdir / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["name", "fit_score", "reference_score"])

@@ -3,7 +3,9 @@
 Turns raw documents into a sparse document-term count matrix with author
 labels: n-gram tokenization, frequency- and author-based vocabulary
 filtering, author verbosity weights, and the rounded log(1 + y) count
-transform used for long-document corpora.
+transform used for long-document corpora. Its doc_index-keyed tables
+(`authors.csv`, debate labels) are read by `read_doc_index_csv`, whose rows
+follow `fitio.read_keyed_rows` and whose doc_index values must be 0..n-1.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import re
 import numpy as np
 import scipy.sparse as sp
 
-from .fitio import load_named_values, open_text, save_named_values
+from .fitio import load_named_values, open_text, read_keyed_rows, save_named_values
 
 # Letters only: digits, underscores and punctuation never form tokens.
 _TOKEN_RE = re.compile(r"[^\W\d_]+")
@@ -71,7 +73,9 @@ class Vocabulary:
         self.terms = list(terms)
         self.index = {t: i for i, t in enumerate(self.terms)}
         if len(self.index) != len(self.terms):
-            raise ValueError("duplicate terms in vocabulary")
+            # A repeated term's first position is not the last one indexed.
+            first = next(t for i, t in enumerate(self.terms) if self.index[t] != i)
+            raise ValueError(f"vocabulary repeats term {first!r}")
 
     def __len__(self):
         return len(self.terms)
@@ -84,6 +88,22 @@ class Vocabulary:
 
     def __eq__(self, other):
         return isinstance(other, Vocabulary) and self.terms == other.terms
+
+
+def take_rows(indptr, rows):
+    """(indptr, positions) of the given CSR rows, in the order given: their own
+    row pointer and each entry's offset in the stored arrays. scipy's row
+    fancy indexing costs more than the whole likelihood on small batches."""
+    rows = np.asarray(rows, dtype=np.int64)
+    start = indptr[rows]
+    length = indptr[rows + 1] - start
+    out = np.zeros(rows.size + 1, dtype=np.int64)
+    out[1:] = length.cumsum()
+    # Offset of each selected entry: its rank within the selection, shifted
+    # by where its row starts in the stored arrays.
+    pos = (start - out[:-1]).repeat(length)
+    pos += np.arange(pos.size)
+    return out, pos
 
 
 class SparseCorpus:
@@ -135,23 +155,9 @@ class SparseCorpus:
         return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data.copy()
 
     def row_entries(self, doc_idx):
-        """(indptr, term_idx, count): the CSR arrays of the given documents'
-        rows, in the order given.
-
-        Slices the stored CSR arrays directly: scipy's row fancy indexing
-        costs more than the whole likelihood on small batches.
-        """
-        doc_idx = np.asarray(doc_idx, dtype=np.int64)
-        c = self.counts
-        start = c.indptr[doc_idx]
-        length = c.indptr[doc_idx + 1] - start
-        indptr = np.zeros(doc_idx.size + 1, dtype=np.int64)
-        indptr[1:] = length.cumsum()
-        # Offset of each selected entry in c.data: its rank within the
-        # selection, shifted by where its row starts in the CSR arrays.
-        pos = (start - indptr[:-1]).repeat(length)
-        pos += np.arange(pos.size)
-        return indptr, c.indices[pos], c.data[pos]
+        """(indptr, term_idx, count) of the given documents' rows, in order."""
+        indptr, pos = take_rows(self.counts.indptr, doc_idx)
+        return indptr, self.counts.indices[pos], self.counts.data[pos]
 
     def doc_totals(self):
         """Total token count per document."""
@@ -437,37 +443,29 @@ def save_corpus(corpus, vocab, outdir):
 
 
 def load_vocabulary(indir):
-    """Read the Vocabulary written by `save_corpus` under `indir`."""
-    with open_text(Path(indir) / VOCAB_FILE) as fh:
-        return Vocabulary(line.rstrip("\n") for line in fh if line.rstrip("\n"))
+    """Read the Vocabulary written by `save_corpus` under `indir`.
+
+    A repeated term raises ValueError naming the file and the term.
+    """
+    path = Path(indir) / VOCAB_FILE
+    with open_text(path) as fh:
+        terms = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+    try:
+        return Vocabulary(terms)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_doc_index_csv(path, columns):
-    """Rows of a CSV keyed by their leading integer doc_index.
-
-    Returns {doc_index: the row's later fields}. Only a first row whose
-    first field is `doc_index` is taken as the header; blank rows are
-    skipped. A row without an integer doc_index and at least one more
-    field, or one that repeats a doc_index, raises ValueError naming the
-    file and the line; `columns` describes the later fields in the message.
-    """
-    fields_by_doc = {}
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader):
-            if not row or (i == 0 and row[0] == "doc_index"):
-                continue
-            where = f"{path} line {reader.line_num}"
-            try:
-                doc = int(row[0])
-            except ValueError:
-                doc = None
-            if doc is None or len(row) < 2:
-                raise ValueError(f"{where}: expected doc_index,{columns}")
-            if doc in fields_by_doc:
-                raise ValueError(f"{where}: repeats doc_index {doc}")
-            fields_by_doc[doc] = row[1:]
-    return fields_by_doc
+    """The later fields of each `fitio.read_keyed_rows` row of a doc_index,
+    `columns` CSV, as a list indexed by doc_index. The doc_index values
+    must be 0..n-1 for some n >= 1, each once, or ValueError names the file."""
+    fields_by_doc = read_keyed_rows(path, "doc_index", lambda row: (int(row[0]), row[1:]),
+                                    f"doc_index,{columns}")
+    num_docs = len(fields_by_doc)
+    if not num_docs or sorted(fields_by_doc) != list(range(num_docs)):
+        raise ValueError(f"{path}: doc_index values must be 0..n-1 over n >= 1 rows")
+    return [fields_by_doc[d] for d in range(num_docs)]
 
 
 _COUNTS_DTYPE = np.dtype([("doc", np.int64), ("term", np.int64), ("count", np.float64)])
@@ -497,19 +495,14 @@ def load_corpus(indir):
     An authors file without the doc_id column gives the default ids doc{d}.
     Raises ValueError on a malformed counts or authors line, a counts file
     that repeats a (doc, term) pair or holds an index outside the documents
-    or the vocabulary, or an authors file that repeats a doc_index.
+    or the vocabulary, or an authors file whose doc_index values are not
+    0..n-1, each once.
     """
     indir = Path(indir)
     vocab = load_vocabulary(indir)
 
-    authors_path = indir / AUTHORS_FILE
-    fields_by_doc = read_doc_index_csv(authors_path, "author_name[,doc_id]")
-    if not fields_by_doc:
-        raise ValueError(f"{authors_path} lists no documents")
-    num_docs = max(fields_by_doc) + 1
-    if sorted(fields_by_doc) != list(range(num_docs)):
-        raise ValueError(f"{authors_path} has gaps in doc_index")
-    doc_rows = [fields_by_doc[d] for d in range(num_docs)]
+    doc_rows = read_doc_index_csv(indir / AUTHORS_FILE, "author_name[,doc_id]")
+    num_docs = len(doc_rows)
     author_names = sorted({fields[0] for fields in doc_rows})
     author_index = {a: s for s, a in enumerate(author_names)}
     author_of = np.array([author_index[fields[0]] for fields in doc_rows], dtype=np.int64)

@@ -5,7 +5,8 @@ config with the model and its seed, the array name -> shape table, and name
 lists such as `author_names`), one `<name>.bin` of row-major float64 per
 array, and `elbo.csv` with the recorded (step, value) trace, header-only when
 none was recorded. Name-keyed scores (author weights, ideal points) are
-two-column CSVs of a name and a float.
+two-column CSVs of a name and a float. These and the doc_index-keyed corpus
+tables are read by `read_keyed_rows`, whose errors start `path:line:`.
 """
 
 from __future__ import annotations
@@ -62,10 +63,12 @@ def load_fit_dir(indir):
     """Return (arrays, manifest, elbo_trace) from a fit directory.
 
     Raises ValueError naming the file on a manifest that is not a JSON
-    object, a `.bin` that does not hold its shape, author_names that do not
-    name each row of x, or an `elbo.csv` row that is not a step and a
-    number. Manifest keys it does not read, such as older fits' `dims` and
-    `seed`, are kept.
+    object, or whose `config` is not an object, `arrays` not an object of
+    shapes (lists of non-negative ints), or `author_names` or `debate_ids`
+    not a list of strings (or null); on a `.bin` that does not hold its
+    shape, author_names that do not name each row of x, or an `elbo.csv`
+    row that is not a step and a number. Manifest keys it does not read,
+    such as older fits' `dims` and `seed`, are kept.
     """
     indir = Path(indir)
     manifest_path = indir / MANIFEST_FILE
@@ -76,8 +79,22 @@ def load_fit_dir(indir):
             raise ValueError(f"{manifest_path}: invalid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: expected a JSON object")
+
+    def require(key, ok, kind):
+        if not ok:
+            raise ValueError(f"{manifest_path}: {key!r} must be {kind}")
+
+    shapes = manifest.get("arrays", {})
+    require("config", isinstance(manifest.get("config", {}), dict), "an object")
+    require("arrays", isinstance(shapes, dict) and all(
+        isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+        for shape in shapes.values()), "an object of lists of non-negative ints")
+    for key in ("author_names", "debate_ids"):
+        names = manifest.get(key)
+        require(key, names is None or isinstance(names, list)
+                and all(isinstance(n, str) for n in names), "a list of strings")
     arrays = {}
-    for name, shape in manifest.get("arrays", {}).items():
+    for name, shape in shapes.items():
         path = indir / f"{name}.bin"
         data = np.fromfile(path, dtype=np.float64)
         if data.size != math.prod(shape):
@@ -112,28 +129,36 @@ def save_named_values(path, header, names, values):
             writer.writerow([name, repr(float(value))])
 
 
-def load_named_values(path, header):
-    """Read (name, float) rows; returns (names, values as an array).
+def read_keyed_rows(path, header, parse, expected):
+    """{key: parse(row)'s value} over the rows of a keyed CSV, in file order.
 
-    Only a first row whose first field is header[0] is taken as the header,
-    so that name is kept on every later row. A row without a name and a
-    number, or one that repeats a name, raises ValueError naming the file
-    and the line.
+    Blank rows are skipped, and only a first row whose first field is
+    `header` is the header, so that key is kept on every later row. A row
+    of fewer than two fields or that `parse` rejects (the message says
+    `expected`), or that repeats a key, raises ValueError `path:line: ...`.
     """
-    names, values, seen = [], [], set()
+    rows = {}
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         for i, row in enumerate(reader):
-            if not row or (i == 0 and row[0] == header[0]):
+            if not row or (i == 0 and row[0] == header):
                 continue
             try:
-                values.append(float(row[1]))
-            except (IndexError, ValueError):
+                if len(row) < 2:
+                    raise ValueError
+                key, value = parse(row)
+            except ValueError:
                 raise ValueError(
-                    f"{path}:{reader.line_num}: expected a name and a number, got {row!r}"
+                    f"{path}:{reader.line_num}: expected {expected}, got {row!r}"
                 ) from None
-            if row[0] in seen:
-                raise ValueError(f"{path}:{reader.line_num}: repeats name {row[0]!r}")
-            seen.add(row[0])
-            names.append(row[0])
-    return names, np.asarray(values)
+            if key in rows:
+                raise ValueError(f"{path}:{reader.line_num}: repeats {header} {key!r}")
+            rows[key] = value
+    return rows
+
+
+def load_named_values(path, header):
+    """(names, values as an array) from (name, float) rows under `header`."""
+    rows = read_keyed_rows(path, header[0], lambda row: (row[0], float(row[1])),
+                           "a name and a number")
+    return list(rows), np.asarray(list(rows.values()))

@@ -14,6 +14,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import engine
+from .corpus import take_rows
 from .engine import NormalPrior, VariationalState, gaussian_families
 from .fitio import open_text
 
@@ -79,22 +80,11 @@ class VoteModel:
         counts = np.bincount(self._j, minlength=votes.num_bills)
         self._indptr = np.concatenate([[0], np.cumsum(counts)])
 
-    def _entry_indices(self, bill_idx):
-        if bill_idx.size == self.num_items:
-            return slice(None)
-        # Each bill's run of entries in batch order: the run's start plus
-        # the entry's offset within the run.
-        starts = self._indptr[bill_idx]
-        lengths = self._indptr[bill_idx + 1] - starts
-        out_starts = np.cumsum(lengths) - lengths
-        within = np.arange(lengths.sum()) - np.repeat(out_starts, lengths)
-        return np.repeat(starts, lengths) + within
-
     def loglik(self, samples, bill_idx, want_grads=False):
         x = samples["x"]
         alpha = samples["alpha"]
         eta = samples["eta"]
-        sel = self._entry_indices(np.asarray(bill_idx))
+        _, sel = take_rows(self._indptr, bill_idx)
         i, j, v = self._i[sel], self._j[sel], self._v[sel]
         t = alpha[j] + x[i] * eta[j]
         value = float(-np.sum(np.logaddexp(0.0, -t * (2.0 * v - 1.0))))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from _oracles import wordfish_fit, wordfish_loglik, wordshoal_stage_one
 from textideal import engine
@@ -95,6 +96,40 @@ class TestAggregate:
         dense, present = aggregate_by_author(corpus, np.array([0, 2]))
         assert np.array_equal(present, [0])
         assert np.array_equal(dense, [[3, 1]])
+
+
+@st.composite
+def _corpora_and_doc_subsets(draw):
+    """A small corpus and distinct documents of it in any order."""
+    num_docs = draw(st.integers(1, 8))
+    num_terms = draw(st.integers(1, 6))
+    num_authors = draw(st.integers(1, 4))
+    dense = draw(st.lists(st.lists(st.integers(0, 30), min_size=num_terms,
+                                   max_size=num_terms),
+                          min_size=num_docs, max_size=num_docs))
+    author_of = draw(st.lists(st.integers(0, num_authors - 1),
+                              min_size=num_docs, max_size=num_docs))
+    corpus = SparseCorpus(sp.csr_matrix(np.array(dense, dtype=float)), author_of,
+                          [f"a{i}" for i in range(num_authors)])
+    docs = draw(st.permutations(range(num_docs)))
+    return corpus, np.array(docs[: draw(st.integers(0, num_docs))], dtype=np.int64)
+
+
+class TestAggregateProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_corpora_and_doc_subsets())
+    def test_matches_scipy_pooling_bytes(self, case):
+        corpus, doc_idx = case
+        authors = corpus.author_of[doc_idx]
+        present, rows = np.unique(authors, return_inverse=True)
+        pooling = sp.csr_matrix((np.ones(doc_idx.size), (rows, np.arange(doc_idx.size))),
+                                shape=(present.size, doc_idx.size))
+        expected = np.asarray((pooling @ corpus.counts[doc_idx]).todense())
+        dense, got_present = aggregate_by_author(corpus, doc_idx)
+        assert np.array_equal(got_present, present)
+        assert (dense.shape, dense.dtype) == (expected.shape, expected.dtype)
+        assert dense.flags.c_contiguous and expected.flags.c_contiguous
+        assert dense.tobytes() == expected.tobytes()
 
 
 class TestWordfish:

@@ -321,7 +321,7 @@ class TestTrain:
         assert not (tmp_path / "pf" / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("extra_line, message", [
-        ("7", "line"),
+        ("7", "expected doc_index,author_name"),
         ("7,author9,x", "repeats doc_index 7"),
     ])
     def test_malformed_authors_file_exits_2(self, synth_corpus_dir, tmp_path, caplog,
@@ -334,7 +334,8 @@ class TestTrain:
             rc = run(["train", "pf", "--data", data, "--output-dir", tmp_path / "pf",
                       "--k", "2", "--pretrain-sweeps", "2"])
         assert rc == 2
-        assert str(data / "authors.csv") in caplog.text and message in caplog.text
+        line = len((data / "authors.csv").read_text().splitlines())
+        assert f"{data / 'authors.csv'}:{line}: {message}" in caplog.text
         assert not (tmp_path / "pf" / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("model, flags", [
@@ -381,13 +382,32 @@ class TestTrain:
         assert str(wordfish_fit_dir) in caplog.text
         assert not (out / "run_manifest.json").exists()
 
+    @pytest.mark.parametrize("dropped", [["theta"], ["theta", "beta"]])
+    def test_pf_fit_without_theta_or_beta_exits_2(self, synth_corpus_dir, tmp_path, caplog,
+                                                  dropped):
+        pfdir = tmp_path / "pf"
+        assert run(["train", "pf", "--data", synth_corpus_dir, "--output-dir", pfdir,
+                    "--k", "2", "--pretrain-sweeps", "2", "--log-counts", "off"]) == 0
+        manifest = json.loads((pfdir / "manifest.json").read_text())
+        for name in dropped:
+            del manifest["arrays"][name]
+        (pfdir / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "warm"
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["train", "tbip", "--data", synth_corpus_dir, "--output-dir", out,
+                      "--k", "2", "--batch", "64", "--steps", "5", "--log-counts", "off",
+                      "--pretrain-dir", pfdir])
+        assert rc == 2
+        assert f"{pfdir} is not a pf fit: missing arrays {', '.join(dropped)}" in caplog.text
+        assert not (out / "run_manifest.json").exists()
+
     def test_wordshoal_without_labels_exits_2(self, synth_corpus_dir, tmp_path):
         rc = run(["train", "wordshoal", "--data", synth_corpus_dir,
                   "--output-dir", tmp_path / "x", "--steps", "10"])
         assert rc == 2
 
     @pytest.mark.parametrize("extra_row, message", [
-        (["5"], "line"),
+        (["5"], "expected doc_index,debate_id"),
         (["5", "debate9"], "repeats doc_index 5"),
     ])
     def test_malformed_debate_labels_exit_2(self, synth_corpus_dir, tmp_path, caplog,
@@ -398,7 +418,25 @@ class TestTrain:
             rc = run(["train", "wordshoal", "--data", synth_corpus_dir,
                       "--output-dir", out, "--steps", "10", "--debates", labels])
         assert rc == 2
-        assert str(labels) in caplog.text and message in caplog.text
+        line = len(labels.read_text().splitlines())
+        assert f"{labels}:{line}: {message}" in caplog.text
+        assert not (out / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("extra_doc, message", [
+        ("{docs}", "labels {rows} documents, the corpus has {docs}"),
+        ("-1", "doc_index values must be 0..n-1"),
+    ], ids=["num_docs", "-1"])
+    def test_debate_labels_not_listing_each_document_once_exit_2(
+            self, synth_corpus_dir, tmp_path, caplog, extra_doc, message):
+        docs = len((synth_corpus_dir / "authors.csv").read_text().splitlines()) - 1
+        labels = parity_debate_labels(synth_corpus_dir, tmp_path / "debates.csv",
+                                      [[extra_doc.format(docs=docs), "debate0"]])
+        out = tmp_path / "ws"
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["train", "wordshoal", "--data", synth_corpus_dir,
+                      "--output-dir", out, "--steps", "10", "--debates", labels])
+        assert rc == 2
+        assert f"{labels}: {message.format(docs=docs, rows=docs + 1)}" in caplog.text
         assert not (out / "run_manifest.json").exists()
 
     def test_divergent_wordshoal_exits_3_without_manifest(self, synth_corpus_dir, tmp_path):
@@ -645,6 +683,30 @@ class TestFitDirectory:
             rc = run(["analyze", "align", "--fit", fit, "--output-dir", out])
         assert rc == 2
         assert f"{fit}/{message}" in caplog.text
+        assert not (out / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("arrays", [["x", [8]]]),
+        ("arrays", {"x": [-8]}),
+        ("arrays", {"x": ["8"]}),
+        ("author_names", 8),
+        ("author_names", "abcdefgh"),
+        ("debate_ids", [0, 1]),
+        ("config", "pf"),
+    ], ids=["arrays a list", "negative length", "string length", "author_names a number",
+            "author_names a string", "debate_ids numbers", "config a string"])
+    def test_manifest_field_of_wrong_type_exits_2_naming_it(self, tbip_fit_dir, tmp_path,
+                                                            caplog, key, value):
+        fit = tmp_path / "fit"
+        shutil.copytree(tbip_fit_dir, fit)  # x holds 8 ideal points
+        manifest = json.loads((fit / "manifest.json").read_text())
+        manifest[key] = value
+        (fit / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["analyze", "align", "--fit", fit, "--output-dir", out])
+        assert rc == 2
+        assert f"{fit / 'manifest.json'}: {key!r} must be" in caplog.text
         assert not (out / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("name", ["x.bin", "elbo.csv"])

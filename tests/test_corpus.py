@@ -267,6 +267,13 @@ class TestFileFormats:
             "doc_index,author_name,doc_id\n0,alice,d0\n1,bob,d1\n", encoding="utf-8")
         (tmp_path / "counts.txt").write_text(counts_text, encoding="utf-8")
 
+    def test_repeated_vocabulary_term_names_file_and_term(self, tmp_path):
+        path = tmp_path / "vocabulary.txt"
+        path.write_text("a\nb\nc\nb\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_vocabulary(tmp_path)
+        assert str(err.value) == f"{path}: vocabulary repeats term 'b'"
+
     def test_load_corpus_closes_its_files(self, tmp_path):
         self._write_two_doc_corpus(tmp_path, "0 0 2\n1 1 1\n")
         with warnings.catch_warnings(record=True) as caught:
@@ -305,10 +312,10 @@ class TestFileFormats:
             load_corpus(tmp_path)
 
     @pytest.mark.parametrize("line, message", [
-        ("1", "authors.csv line 4: expected doc_index,author_name"),
-        ("one,carol,d9", "authors.csv line 4: expected doc_index,author_name"),
-        ("1,carol,d9", "authors.csv line 4: repeats doc_index 1"),
-        ("doc_index,author_name,doc_id", "authors.csv line 4: expected doc_index,author_name"),
+        ("1", "authors.csv:4: expected doc_index,author_name"),
+        ("one,carol,d9", "authors.csv:4: expected doc_index,author_name"),
+        ("1,carol,d9", "authors.csv:4: repeats doc_index 1"),
+        ("doc_index,author_name,doc_id", "authors.csv:4: expected doc_index,author_name"),
     ])
     def test_malformed_authors_line_rejected(self, tmp_path, line, message):
         self._write_two_doc_corpus(tmp_path, "0 0 2\n1 1 1\n")
