@@ -358,7 +358,8 @@ def compute_weights(corpus):
     """Author verbosity weights: average document length over the grand mean.
 
     Returns an array w with one entry per author; mean(w) == 1 up to float
-    rounding.
+    rounding. Raises ValueError if an author has no document, or no token
+    (a zero weight would make the TBIP likelihood take 0 * log 0).
     """
     totals = corpus.doc_totals()
     docs_per_author = np.bincount(corpus.author_of, minlength=corpus.num_authors)
@@ -367,6 +368,9 @@ def compute_weights(corpus):
     tokens_per_author = np.bincount(
         corpus.author_of, weights=totals, minlength=corpus.num_authors
     )
+    silent = [corpus.author_names[a] for a in np.flatnonzero(tokens_per_author == 0)]
+    if silent:
+        raise ValueError(f"authors whose documents hold no tokens: {silent}")
     n = tokens_per_author / docs_per_author
     return n / n.mean()
 
@@ -456,12 +460,18 @@ def load_vocabulary(indir):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _doc_index_row(row):
+    if not row[1]:
+        raise ValueError
+    return int(row[0]), row[1:]
+
+
 def read_doc_index_csv(path, columns):
     """The later fields of each `fitio.read_keyed_rows` row of a doc_index,
     `columns` CSV, as a list indexed by doc_index. The doc_index values
-    must be 0..n-1 for some n >= 1, each once, or ValueError names the file."""
-    fields_by_doc = read_keyed_rows(path, "doc_index", lambda row: (int(row[0]), row[1:]),
-                                    f"doc_index,{columns}")
+    must be 0..n-1 for some n >= 1, each once, and the second field (a name
+    or label) must be non-empty, or ValueError names the file."""
+    fields_by_doc = read_keyed_rows(path, "doc_index", _doc_index_row, f"doc_index,{columns}")
     num_docs = len(fields_by_doc)
     if not num_docs or sorted(fields_by_doc) != list(range(num_docs)):
         raise ValueError(f"{path}: doc_index values must be 0..n-1 over n >= 1 rows")

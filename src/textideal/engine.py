@@ -1,16 +1,17 @@
 """Reparameterized variational inference engine.
 
-Every mean-field factor is one `Family`: Gaussian in unconstrained space,
-with a location mu and a log-scale log_sigma. A single noise draw z per
-factor gives
+Every mean-field factor is one `Family`: Gaussian on the real line, with a
+location mu and a log-scale log_sigma. One `Family.draw` per factor turns a
+noise draw z into
 
     u = mu + sigma * z,   sigma = exp(log_sigma),
 
 and the model's sample s = u for real latents, or s = exp(u) for positive
-ones (`positive=True`, a lognormal factor). The objective is taken in u for
-every factor, as in ADVI (Kucukelbir et al. 2017): priors are densities over
-u (the Gamma prior carries the Jacobian of s = exp(u)) and log q is Gaussian
-in u. The single-draw objective estimate is
+ones (`positive=True`, a lognormal factor); priors, log q and gradients
+reuse its u, s and sigma. The objective is taken in u for every factor, as
+in ADVI (Kucukelbir et al. 2017): priors are densities over u (the Gamma
+prior carries the Jacobian of s = exp(u)) and log q is Gaussian in u. The
+single-draw objective estimate is
 
     elbo(z) = log p(u) + (N / |batch|) * loglik(batch | s) - log q(u).
 
@@ -18,7 +19,7 @@ Gradients are exact derivatives of that estimate with z held fixed: models
 supply d loglik / d u (s * d loglik / d s for positive factors), and one
 chain rule through u serves every factor. Nothing takes log s, so a sample
 that underflows to 0 leaves the objective finite. `finite_difference`
-provides the independent check. Updates use Adam (gradient ascent).
+provides the independent check. Adam ascent updates the parameters in place.
 """
 
 from __future__ import annotations
@@ -46,15 +47,15 @@ class NonFiniteElbo(Exception):
 
 
 class Family:
-    """Elementwise mean-field factors, Gaussian in unconstrained space.
+    """Elementwise mean-field factors, Gaussian on the real line.
 
     u = mu + sigma * z with sigma = exp(log_sigma); the sample is u itself,
-    or exp(u) (a lognormal factor) when `positive`.
+    or exp(u) (a lognormal factor) when `positive`. Copies its inputs.
     """
 
     def __init__(self, mu, log_sigma, positive=False):
-        self.mu = np.asarray(mu, dtype=np.float64)
-        self.log_sigma = np.asarray(log_sigma, dtype=np.float64)
+        self.mu = np.array(mu, dtype=np.float64)
+        self.log_sigma = np.array(log_sigma, dtype=np.float64)
         self.positive = bool(positive)
         if self.mu.shape != self.log_sigma.shape:
             raise ValueError("mu and log_sigma must have identical shapes")
@@ -63,17 +64,19 @@ class Family:
     def sigma(self):
         return np.exp(self.log_sigma)
 
-    def unconstrained(self, z):
-        """Deterministic transform of standard noise into u = mu + sigma * z."""
+    def draw(self, z):
+        """(u, sample, sigma) for standard noise z, sigma = exp(log_sigma)."""
         z = np.asarray(z)
         if z.shape != self.mu.shape:
             raise ValueError(f"noise shape {z.shape} != parameter shape {self.mu.shape}")
-        return self.mu + self.sigma * z
+        sigma = self.sigma
+        u = self.mu + sigma * z
+        return u, (np.exp(u) if self.positive else u), sigma
 
-    def log_density(self, u):
-        """log q at the unconstrained value u, a Gaussian for every factor."""
-        t = (u - self.mu) / self.sigma
-        return float(np.sum(-0.5 * LOG_2PI - self.log_sigma - 0.5 * t * t))
+    def log_density(self, u, sigma):
+        """log q at the value u (a Gaussian), given `draw`'s sigma."""
+        t = (u - self.mu) / sigma
+        return float((-0.5 * LOG_2PI - self.log_sigma - 0.5 * t * t).sum())
 
     def posterior_mean(self):
         if self.positive:
@@ -108,13 +111,13 @@ class GammaPrior:
         self.shape = float(shape)
         self.rate = float(rate)
 
-    def log_prob(self, u):
+    def log_prob(self, u, s):
         """Log density of u = log s, the Jacobian u included."""
         a, b = self.shape, self.rate
-        return float(np.sum(a * math.log(b) - gammaln(a) + a * u - b * np.exp(u)))
+        return float((a * math.log(b) - gammaln(a) + a * u - b * s).sum())
 
-    def dlog_prob(self, u):
-        return self.shape - self.rate * np.exp(u)
+    def dlog_prob(self, s):
+        return self.shape - self.rate * s
 
 
 class NormalPrior:
@@ -125,11 +128,9 @@ class NormalPrior:
             raise ValueError("Normal prior needs a positive scale")
         self.scale = float(scale)
 
-    def log_prob(self, s):
+    def log_prob(self, u, s):
         var = self.scale**2
-        return float(
-            np.sum(-0.5 * LOG_2PI - math.log(self.scale) - 0.5 * s * s / var)
-        )
+        return float((-0.5 * LOG_2PI - math.log(self.scale) - 0.5 * s * s / var).sum())
 
     def dlog_prob(self, s):
         return -s / self.scale**2
@@ -157,14 +158,9 @@ class VariationalState:
             for name, fam in self.families.items()
         }
 
-    def reparameterize(self, noise):
-        """(values, samples): each factor's unconstrained u = mu + sigma * z
-        and the model's sample, exp(u) for positive factors and u otherwise."""
-        values, samples = {}, {}
-        for name, fam in self.families.items():
-            values[name] = u = fam.unconstrained(noise[name])
-            samples[name] = np.exp(u) if fam.positive else u
-        return values, samples
+    def draw(self, noise):
+        """{name: (u, sample, sigma)}, each factor's `Family.draw`."""
+        return {name: fam.draw(noise[name]) for name, fam in self.families.items()}
 
     def parameters(self):
         """Live parameter arrays keyed by '<name>.mu' / '<name>.log_sigma'."""
@@ -183,23 +179,22 @@ class VariationalState:
         return {name: fam.posterior_mean() for name, fam in self.families.items()}
 
 
-def entropy_and_prior(state, values):
-    """(log prior, log q) of the state's factors at unconstrained values u."""
-    log_prior = sum(state.priors[name].log_prob(values[name]) for name in state.names)
-    log_q = sum(state.families[name].log_density(values[name]) for name in state.names)
-    return log_prior, log_q
-
-
 def _estimate(state, batch, model, num_items, noise, want_grads):
-    """(objective estimate, unconstrained values, likelihood gradients, scale)."""
+    """(objective estimate, the state's draws, likelihood gradients, scale)."""
     batch = np.atleast_1d(np.asarray(batch))
     if batch.size == 0:
         raise ValueError("batch must be non-empty")
-    values, samples = state.reparameterize(noise)
-    log_prior, log_q = entropy_and_prior(state, values)
+    if num_items < batch.size:
+        raise ValueError("num_items must be at least the batch size")
+    draws = state.draw(noise)
+    log_prior = log_q = 0
+    for name, (u, s, sigma) in draws.items():
+        log_prior += state.priors[name].log_prob(u, s)
+        log_q += state.families[name].log_density(u, sigma)
+    samples = {name: s for name, (_, s, _) in draws.items()}
     loglik, lik_grads = model.loglik(samples, batch, want_grads=want_grads)
     scale = num_items / batch.size
-    return log_prior + scale * loglik - log_q, values, lik_grads, scale
+    return log_prior + scale * loglik - log_q, draws, lik_grads, scale
 
 
 def elbo_estimate(state, batch, model, num_items, noise):
@@ -208,8 +203,6 @@ def elbo_estimate(state, batch, model, num_items, noise):
     The likelihood over the batch is rescaled by num_items / len(batch);
     prior and entropy terms cover every factor in full.
     """
-    if num_items < np.size(batch):
-        raise ValueError("num_items must be at least the batch size")
     return _estimate(state, batch, model, num_items, noise, want_grads=False)[0]
 
 
@@ -219,18 +212,18 @@ def gradient(state, batch, model, num_items, noise):
     Returns {'<name>.mu': g, '<name>.log_sigma': g} plus the estimate itself
     under the key '__elbo__' (computed from the same pass).
     """
-    value, values, lik_grads, scale = _estimate(
+    value, draws, lik_grads, scale = _estimate(
         state, batch, model, num_items, noise, want_grads=True
     )
     grads = {"__elbo__": value}
-    for name in state.names:
-        du = state.priors[name].dlog_prob(values[name])
+    for name, (_, s, sigma) in draws.items():
+        du = state.priors[name].dlog_prob(s)
         g = lik_grads.get(name)
         if g is not None:
             du = du + scale * g
         # u = mu + sigma * z, and log q contributes -d log_sigma = +1.
         grads[f"{name}.mu"] = du
-        grads[f"{name}.log_sigma"] = du * (noise[name] * state.families[name].sigma) + 1.0
+        grads[f"{name}.log_sigma"] = du * (noise[name] * sigma) + 1.0
     return grads
 
 
@@ -256,28 +249,25 @@ class AdamState:
 
 
 def adam_step(adam, params, grads):
-    """One bias-corrected Adam ascent step; returns the updated params.
+    """One bias-corrected Adam ascent step in place; returns `params`.
 
-    Moment accumulators live in `adam` and are keyed like `params`.
+    Moment accumulators live in `adam`, keyed like `params`.
     """
     adam.t += 1
-    t = adam.t
-    out = {}
+    c1 = 1.0 - _BETA1**adam.t
+    c2 = 1.0 - _BETA2**adam.t
     for key, p in params.items():
         g = grads[key]
-        m = adam.m.get(key)
-        if m is None:
-            m = np.zeros_like(p)
+        if key not in adam.m:
+            adam.m[key] = np.zeros_like(p)
             adam.v[key] = np.zeros_like(p)
-        v = adam.v[key]
-        m = _BETA1 * m + (1.0 - _BETA1) * g
-        v = _BETA2 * v + (1.0 - _BETA2) * g * g
-        adam.m[key] = m
-        adam.v[key] = v
-        m_hat = m / (1.0 - _BETA1**t)
-        v_hat = v / (1.0 - _BETA2**t)
-        out[key] = p + adam.lr * m_hat / (np.sqrt(v_hat) + _EPS)
-    return out
+        m, v = adam.m[key], adam.v[key]
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        p += adam.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +304,17 @@ def finite_difference(fn, params, step=1e-5):
 # ---------------------------------------------------------------------------
 
 
-def fit(state, model, cfg, rng, *, adam=None, callback=None):
-    """Run Adam ascent on the reparameterized objective; returns the trace.
+def fit(state, model, cfg, rng):
+    """Run Adam ascent on the single-draw objective; returns the trace.
 
     `cfg` (a `tbip.TrainConfig`) supplies max_steps, batch_size, mc_samples,
-    elbo_report_interval, and the learning rate of the AdamState built when
-    `adam` is None. Items are subsampled uniformly without replacement per
-    step; when batch_size >= model.num_items every step uses the full batch
-    in index order, so runs are bitwise reproducible for a fixed seed. The
-    trace holds (step, estimate) pairs every `elbo_report_interval` steps.
+    elbo_report_interval and the learning rate. Items are subsampled
+    uniformly without replacement per step; when batch_size >=
+    model.num_items every step uses the full batch in index order, so runs
+    are bitwise reproducible for a fixed seed. The trace holds (step,
+    estimate) pairs every `elbo_report_interval` steps.
     """
-    if adam is None:
-        adam = AdamState(cfg.lr)
+    adam = AdamState(cfg.lr)
     num_items = model.num_items
     full_batch = cfg.batch_size >= num_items
     fixed = np.arange(num_items)
@@ -348,10 +337,7 @@ def fit(state, model, cfg, rng, *, adam=None, callback=None):
             value = float(total.pop("__elbo__"))
             if not math.isfinite(value):
                 raise NonFiniteElbo(step, value)
-            params = adam_step(adam, state.parameters(), total)
-            state.set_parameters(params)
+            adam_step(adam, state.parameters(), total)
             if step == 1 or step % cfg.elbo_report_interval == 0 or step == cfg.max_steps:
                 trace.append((step, value))
-                if callback is not None:
-                    callback(step, value)
     return trace

@@ -323,6 +323,7 @@ class TestTrain:
     @pytest.mark.parametrize("extra_line, message", [
         ("7", "expected doc_index,author_name"),
         ("7,author9,x", "repeats doc_index 7"),
+        ("7,", "expected doc_index,author_name"),  # an empty name
     ])
     def test_malformed_authors_file_exits_2(self, synth_corpus_dir, tmp_path, caplog,
                                             extra_line, message):
@@ -337,6 +338,23 @@ class TestTrain:
         line = len((data / "authors.csv").read_text().splitlines())
         assert f"{data / 'authors.csv'}:{line}: {message}" in caplog.text
         assert not (tmp_path / "pf" / "run_manifest.json").exists()
+
+    def test_author_without_tokens_exits_2(self, tmp_path, caplog):
+        # Author b's only document has no counts line.
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "vocabulary.txt").write_text("alpha\nbeta\ngamma\n", encoding="utf-8")
+        (data / "authors.csv").write_text("doc_index,author_name\n0,a\n1,b\n2,c\n3,a\n",
+                                          encoding="utf-8")
+        (data / "counts.txt").write_text("0 0 2\n0 1 1\n2 1 3\n2 2 1\n3 0 1\n3 2 2\n",
+                                         encoding="utf-8")
+        out = tmp_path / "tbip"
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["train", "tbip", "--data", data, "--output-dir", out, "--k", "2",
+                      "--batch", "4", "--steps", "5"])
+        assert rc == 2
+        assert "authors whose documents hold no tokens: ['b']" in caplog.text
+        assert not (out / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("model, flags", [
         ("tbip", ["--steps", "0"]),
@@ -409,6 +427,7 @@ class TestTrain:
     @pytest.mark.parametrize("extra_row, message", [
         (["5"], "expected doc_index,debate_id"),
         (["5", "debate9"], "repeats doc_index 5"),
+        (["5", ""], "expected doc_index,debate_id"),  # an empty label
     ])
     def test_malformed_debate_labels_exit_2(self, synth_corpus_dir, tmp_path, caplog,
                                             extra_row, message):

@@ -177,6 +177,13 @@ class TestWeights:
             assert abs(w.mean() - 1.0) <= 1e-12
             assert np.all(w > 0)
 
+    def test_author_without_tokens_rejected(self):
+        # A zero weight would make the TBIP likelihood take 0 * log 0.
+        corpus = _corpus_from_dense([[3, 1], [0, 0], [0, 0], [2, 2]], [0, 1, 2, 0],
+                                    ["a", "b", "c"])
+        with pytest.raises(ValueError, match=r"no tokens: \['b', 'c'\]"):
+            compute_weights(corpus)
+
 
 class TestLogTransform:
     def test_count_one_stays_one(self):
@@ -316,6 +323,8 @@ class TestFileFormats:
         ("one,carol,d9", "authors.csv:4: expected doc_index,author_name"),
         ("1,carol,d9", "authors.csv:4: repeats doc_index 1"),
         ("doc_index,author_name,doc_id", "authors.csv:4: expected doc_index,author_name"),
+        ("2,", "authors.csv:4: expected doc_index,author_name"),  # an empty name
+        ("2,,d2", "authors.csv:4: expected doc_index,author_name"),
     ])
     def test_malformed_authors_line_rejected(self, tmp_path, line, message):
         self._write_two_doc_corpus(tmp_path, "0 0 2\n1 1 1\n")
@@ -343,12 +352,13 @@ class TestFileFormats:
 
 
 _labels = st.text(max_size=6)
+_author_names = st.text(min_size=1, max_size=6)  # load_corpus rejects an empty name
 
 
 @st.composite
 def _small_corpora(draw):
     num_authors = draw(st.integers(1, 4))
-    author_names = sorted(draw(st.sets(_labels, min_size=num_authors,
+    author_names = sorted(draw(st.sets(_author_names, min_size=num_authors,
                                        max_size=num_authors)))
     num_docs = draw(st.integers(num_authors, 8))
     # Every author keeps a document: load_corpus lists the authors it sees.

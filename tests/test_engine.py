@@ -13,7 +13,6 @@ from textideal.engine import (
     VariationalState,
     adam_step,
     elbo_estimate,
-    entropy_and_prior,
     finite_difference,
     gradient,
 )
@@ -25,30 +24,30 @@ LOG_2PI = math.log(2 * math.pi)
 class TestReparameterize:
     def test_gaussian_identity_case(self):
         fam = Family(np.zeros(3), np.zeros(3))
-        assert np.array_equal(fam.unconstrained(np.zeros(3)), np.zeros(3))
+        assert np.array_equal(fam.draw(np.zeros(3))[0], np.zeros(3))
 
     def test_lognormal_at_zero_noise(self):
         fam = Family(np.zeros(2), np.zeros(2), positive=True)
         state = VariationalState({"s": fam}, {"s": GammaPrior(1.0, 1.0)})
-        values, samples = state.reparameterize({"s": np.zeros(2)})
-        assert np.array_equal(values["s"], np.zeros(2))
-        assert np.array_equal(samples["s"], np.ones(2))
+        u, s, _ = state.draw({"s": np.zeros(2)})["s"]
+        assert np.array_equal(u, np.zeros(2))
+        assert np.array_equal(s, np.ones(2))
 
     def test_gaussian_affine(self):
         fam = Family(np.array([2.0]), np.log(np.array([0.5])))
-        assert np.allclose(fam.unconstrained(np.array([2.0])), [3.0])
+        assert np.allclose(fam.draw(np.array([2.0]))[0], [3.0])
 
     def test_shape_mismatch_raises(self):
         fam = Family(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
-            fam.unconstrained(np.zeros(4))
+            fam.draw(np.zeros(4))
 
     def test_deterministic_given_noise(self):
         rng = np.random.default_rng(0)
         fam = Family(rng.standard_normal(5), rng.standard_normal(5), positive=True)
         state = VariationalState({"s": fam}, {"s": GammaPrior(1.0, 1.0)})
         z = {"s": rng.standard_normal(5)}
-        assert np.array_equal(state.reparameterize(z)[1]["s"], state.reparameterize(z)[1]["s"])
+        assert np.array_equal(state.draw(z)["s"][1], state.draw(z)["s"][1])
 
 
 class _NullModel:
@@ -67,26 +66,26 @@ class TestEntropyAndPrior:
             {"x": Family(np.zeros(1), np.zeros(1))},
             {"x": NormalPrior(1.0)},
         )
-        log_prior, _ = entropy_and_prior(state, {"x": np.zeros(1)})
-        assert np.isclose(log_prior, -0.5 * LOG_2PI)
+        u, s, _ = state.draw({"x": np.zeros(1)})["x"]
+        assert np.isclose(state.priors["x"].log_prob(u, s), -0.5 * LOG_2PI)
 
     def test_gamma_1_1_at_one(self):
         # Densities are over u = log s; the Jacobian log s vanishes at s = 1.
         prior = GammaPrior(1.0, 1.0)
-        assert np.isclose(prior.log_prob(np.zeros(1)), -1.0)
+        assert np.isclose(prior.log_prob(np.zeros(1), np.ones(1)), -1.0)
 
     def test_lognormal_logq_at_one(self):
         fam = Family(np.zeros(1), np.zeros(1), positive=True)
-        assert np.isclose(fam.log_density(np.zeros(1)), -0.5 * LOG_2PI)
+        assert np.isclose(fam.log_density(np.zeros(1), fam.sigma), -0.5 * LOG_2PI)
 
     def test_underflowed_sample_has_finite_density(self):
         u = np.array([-800.0])  # exp(u) underflows to 0
         prior = GammaPrior(0.3, 0.3)
         assert np.exp(u)[0] == 0.0
-        assert math.isfinite(prior.log_prob(u))
-        assert np.all(np.isfinite(prior.dlog_prob(u)))
+        assert math.isfinite(prior.log_prob(u, np.exp(u)))
+        assert np.all(np.isfinite(prior.dlog_prob(np.exp(u))))
         fam = Family(np.zeros(1), np.zeros(1), positive=True)
-        assert math.isfinite(fam.log_density(u))
+        assert math.isfinite(fam.log_density(u, fam.sigma))
 
     def test_density_matches_reparameterized_form(self):
         rng = np.random.default_rng(3)
@@ -97,13 +96,14 @@ class TestEntropyAndPrior:
             z = rng.standard_normal(4)
             # (u - mu) / sigma collapses to z
             z_form = np.sum(-0.5 * LOG_2PI - fam.log_sigma - 0.5 * z * z)
-            assert np.isclose(fam.log_density(fam.unconstrained(z)), z_form)
+            u, _, sigma = fam.draw(z)
+            assert np.isclose(fam.log_density(u, sigma), z_form)
 
     def test_gamma_density_is_sample_density_times_jacobian(self):
         s = np.random.default_rng(8).gamma(1.0, 1.0, 6) + 0.05
         prior = GammaPrior(0.4, 0.7)
         expected = gamma_log_prob(s, 0.4, 0.7) + np.sum(np.log(s))
-        assert np.isclose(prior.log_prob(np.log(s)), expected, rtol=1e-12)
+        assert np.isclose(prior.log_prob(np.log(s), s), expected, rtol=1e-12)
 
 
 def _poisson_state_and_model(seed=0, num_docs=3, num_terms=5, num_topics=2, num_authors=2):
@@ -125,13 +125,21 @@ def _poisson_state_and_model(seed=0, num_docs=3, num_terms=5, num_topics=2, num_
     return state, model, corpus, rng
 
 
+def _prior_and_log_q(state, noise):
+    """(log prior, log q) summed over the state's factors at one draw."""
+    draws = state.draw(noise)
+    log_prior = sum(state.priors[n].log_prob(u, s) for n, (u, s, _) in draws.items())
+    log_q = sum(state.families[n].log_density(u, sigma) for n, (u, _, sigma) in draws.items())
+    return log_prior, log_q
+
+
 class TestElboEstimate:
     def test_full_batch_scaling_is_one(self):
         state, model, corpus, rng = _poisson_state_and_model()
         noise = state.sample_noise(rng)
         batch = np.arange(corpus.num_docs)
-        values, samples = state.reparameterize(noise)
-        log_prior, log_q = entropy_and_prior(state, values)
+        log_prior, log_q = _prior_and_log_q(state, noise)
+        samples = {name: s for name, (_, s, _) in state.draw(noise).items()}
         lik, _ = model.loglik(samples, batch)
         value = elbo_estimate(state, batch, model, corpus.num_docs, noise)
         assert np.isclose(value, log_prior + lik - log_q)
@@ -140,8 +148,7 @@ class TestElboEstimate:
         state, model, corpus, rng = _poisson_state_and_model(seed=5)
         noise = state.sample_noise(rng)
         batch = np.array([0])
-        values, _ = state.reparameterize(noise)
-        log_prior, log_q = entropy_and_prior(state, values)
+        log_prior, log_q = _prior_and_log_q(state, noise)
         base = log_prior - log_q
         e1 = elbo_estimate(state, batch, model, 10, noise)
         e2 = elbo_estimate(state, batch, model, 20, noise)
@@ -204,9 +211,15 @@ class TestGradient:
         state.families["eta"].mu[:] = 0.0
         noise = state.sample_noise(rng)
         noise["eta"][:] = 0.0  # forces the eta sample to exactly zero
-        _, samples = state.reparameterize(noise)
+        samples = {name: s for name, (_, s, _) in state.draw(noise).items()}
         _, grads = model.loglik(samples, np.arange(corpus.num_docs), want_grads=True)
         assert np.array_equal(grads["x"], np.zeros_like(grads["x"]))
+
+    def test_total_smaller_than_batch_rejected(self):
+        state, model, corpus, rng = _poisson_state_and_model()
+        noise = state.sample_noise(rng)
+        with pytest.raises(ValueError, match="at least the batch size"):
+            gradient(state, np.arange(3), model, 2, noise)
 
     def test_likelihood_gradient_scales_linearly_in_total(self):
         state, model, corpus, rng = _poisson_state_and_model(seed=6)
@@ -296,8 +309,8 @@ class TestUnderflow:
     def test_finite_objective_and_gradients(self):
         state, model, corpus, rng = self._underflowed_state(14)
         noise = state.sample_noise(rng)
-        _, samples = state.reparameterize(noise)
-        assert samples["theta"][0, 0] == 0.0 and samples["beta"][0, 0] == 0.0
+        draws = state.draw(noise)
+        assert draws["theta"][1][0, 0] == 0.0 and draws["beta"][1][0, 0] == 0.0
         batch = np.arange(corpus.num_docs)
         assert math.isfinite(elbo_estimate(state, batch, model, corpus.num_docs, noise))
         grads = gradient(state, batch, model, corpus.num_docs, noise)
@@ -332,6 +345,23 @@ class TestAdam:
         params = {"w": np.array([1.0, -2.0])}
         out = adam_step(adam, params, {"w": np.array([5.0, 5.0])})
         assert np.array_equal(out["w"], params["w"])
+
+    def test_in_place_steps_equal_out_of_place_reference(self):
+        rng = np.random.default_rng(7)
+        p0 = rng.standard_normal((20, 50))
+        grads = [rng.standard_normal((20, 50)) for _ in range(5)]
+        adam = AdamState(lr=0.05)
+        params = {"w": p0.copy()}
+        live = params["w"]
+        p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
+        for t, g in enumerate(grads, start=1):
+            assert adam_step(adam, params, {"w": g}) is params
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            p = p + 0.05 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            assert np.array_equal(params["w"], p)
+        assert params["w"] is live  # updated in place, not replaced
+        assert np.array_equal(adam.m["w"], m) and np.array_equal(adam.v["w"], v)
 
 
 class TestElboUnbiasedness:
@@ -408,6 +438,16 @@ class TestFitLoop:
         model, _ = _recording_fit(5, max_steps=20, batch_size=4)
         assert all(np.unique(batch).size == 4 for batch in model.batches)
         assert any(not np.array_equal(np.sort(b), np.arange(4)) for b in model.batches)
+
+    def test_fit_leaves_the_callers_initial_arrays_unchanged(self):
+        mu = np.array([0.3, -0.2, 0.1])
+        log_sigma = np.full(3, math.log(0.1))
+        state = VariationalState({"x": Family(mu, log_sigma)}, {"x": NormalPrior(1.0)})
+        engine.fit(state, _RecordingModel(3), TrainConfig(max_steps=5, batch_size=3),
+                   np.random.default_rng(0))
+        assert not np.array_equal(state.families["x"].mu, mu)  # the fit moved
+        assert np.array_equal(mu, [0.3, -0.2, 0.1])
+        assert np.array_equal(log_sigma, np.full(3, math.log(0.1)))
 
     def test_adam_state_needs_a_learning_rate(self):
         with pytest.raises(TypeError):

@@ -262,24 +262,25 @@ class TestPinnedTiltMatchesFactorization:
         batch = np.arange(corpus.num_docs)
         full = engine.elbo_estimate(state, batch, model, corpus.num_docs, noise)
 
-        values, samples = state.reparameterize(noise)
+        draws = state.draw(noise)
         pinned_terms = 0.0
         for name in ("eta", "x"):
             fam = state.families[name]
-            pinned_terms += state.priors[name].log_prob(values[name])
-            pinned_terms -= fam.log_density(values[name])
+            u, s, sigma = draws[name]
+            pinned_terms += state.priors[name].log_prob(u, s)
+            pinned_terms -= fam.log_density(u, sigma)
 
-        theta, beta = samples["theta"], samples["beta"]
+        (u_theta, theta, sigma_theta), (u_beta, beta, sigma_beta) = draws["theta"], draws["beta"]
         rates = weights[corpus.author_of][:, None] * (theta @ beta)
         dense = corpus.counts[batch].toarray()
         from scipy.special import gammaln
 
         pf_lik = float(np.sum(dense * np.log(rates) - rates - gammaln(dense + 1.0)))
         pf_part = (
-            state.priors["theta"].log_prob(values["theta"])
-            + state.priors["beta"].log_prob(values["beta"])
-            - state.families["theta"].log_density(values["theta"])
-            - state.families["beta"].log_density(values["beta"])
+            state.priors["theta"].log_prob(u_theta, theta)
+            + state.priors["beta"].log_prob(u_beta, beta)
+            - state.families["theta"].log_density(u_theta, sigma_theta)
+            - state.families["beta"].log_density(u_beta, sigma_beta)
             + pf_lik
         )
         # rates with a vanishing tilt agree to float precision, not bitwise
