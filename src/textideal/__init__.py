@@ -3,8 +3,8 @@
 The package estimates author positions on a latent left-right axis three
 ways: from text via a tilted Poisson-factorization topic model, from votes
 via a logistic factor model, and from text via the wordfish / wordshoal
-scaling baselines. All models share one reparameterization-gradient
-variational inference engine.
+scaling baselines. All models share one reparameterized variational
+inference engine.
 """
 
 from .analysis import align, compare, expected_count_ratio, influence, topic_report

@@ -11,8 +11,8 @@ with a one-dimensional factor analysis,
     pos_sj ~ N(a_j + b_j * x_s, sigma^2),
 
 whose shared noise scale gets a lognormal factor. Stage one trains every
-debate's wordfish in one run of the reparameterization-gradient engine;
-stage two is `fit_factor`'s coordinate ascent.
+debate's wordfish in one run of the reparameterized engine; stage two is
+`fit_factor`'s coordinate ascent.
 """
 
 from __future__ import annotations

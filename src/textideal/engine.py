@@ -171,9 +171,10 @@ class VariationalState:
         return params
 
     def set_parameters(self, params):
+        """Copy in '<name>.mu' / '<name>.log_sigma' arrays, as `Family` does."""
         for name, fam in self.families.items():
-            fam.mu = np.asarray(params[f"{name}.mu"], dtype=np.float64)
-            fam.log_sigma = np.asarray(params[f"{name}.log_sigma"], dtype=np.float64)
+            fam.mu = np.array(params[f"{name}.mu"], dtype=np.float64)
+            fam.log_sigma = np.array(params[f"{name}.log_sigma"], dtype=np.float64)
 
     def posterior_means(self):
         return {name: fam.posterior_mean() for name, fam in self.families.items()}

@@ -8,8 +8,8 @@ by the author's position on a latent left-right axis:
 with a = author of document d and w the author verbosity weights. Gamma
 priors on theta and beta, standard normal priors on eta and x. Training
 initializes theta/beta from a Poisson factorization pretrain, then runs
-stochastic gradient ascent (see `engine`) with lognormal factors on the
-positive latents and Gaussian factors on the real ones.
+stochastic reparameterized ascent (see `engine`) with lognormal factors on
+the positive latents and Gaussian factors on the real ones.
 
 The minibatch likelihood forms no dense batch x vocabulary array unless
 the batch's nonzeros fill a quarter of one. Its Poisson mass factorizes per

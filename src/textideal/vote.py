@@ -2,8 +2,8 @@
 
 Votes follow a one-dimensional logistic factor model: lawmaker i votes yea
 on bill j with probability sigmoid(alpha_j + x_i * eta_j), all three
-latents standard normal a priori. Trained with the same engine as the text
-model, with Gaussian factors throughout.
+latents standard normal a priori. Trained with the same reparameterized
+machinery as the text model, with Gaussian factors throughout.
 """
 
 from __future__ import annotations

@@ -338,13 +338,13 @@ class TestAdam:
         adam = AdamState(lr=0.1)
         params = {"w": np.full(3, 2.0)}
         out = adam_step(adam, params, {"w": np.zeros(3)})
-        assert np.array_equal(out["w"], params["w"])
+        assert np.array_equal(out["w"], np.full(3, 2.0))
 
     def test_zero_learning_rate_is_identity(self):
         adam = AdamState(lr=0.0)
         params = {"w": np.array([1.0, -2.0])}
         out = adam_step(adam, params, {"w": np.array([5.0, 5.0])})
-        assert np.array_equal(out["w"], params["w"])
+        assert np.array_equal(out["w"], [1.0, -2.0])
 
     def test_in_place_steps_equal_out_of_place_reference(self):
         rng = np.random.default_rng(7)
@@ -448,6 +448,17 @@ class TestFitLoop:
         assert not np.array_equal(state.families["x"].mu, mu)  # the fit moved
         assert np.array_equal(mu, [0.3, -0.2, 0.1])
         assert np.array_equal(log_sigma, np.full(3, math.log(0.1)))
+
+    def test_fit_leaves_arrays_given_to_set_parameters_unchanged(self):
+        state = VariationalState(
+            {"x": Family(np.zeros(3), np.zeros(3))}, {"x": NormalPrior(1.0)})
+        params = {"x.mu": np.array([0.3, -0.2, 0.1]), "x.log_sigma": np.full(3, -2.0)}
+        state.set_parameters(params)
+        engine.fit(state, _RecordingModel(3), TrainConfig(max_steps=5, batch_size=3),
+                   np.random.default_rng(0))
+        assert not np.array_equal(state.families["x"].mu, params["x.mu"])
+        assert np.array_equal(params["x.mu"], [0.3, -0.2, 0.1])
+        assert np.array_equal(params["x.log_sigma"], np.full(3, -2.0))
 
     def test_adam_state_needs_a_learning_rate(self):
         with pytest.raises(TypeError):
