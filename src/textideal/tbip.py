@@ -11,11 +11,14 @@ initializes theta/beta from a Poisson factorization pretrain, then runs
 stochastic reparameterized ascent (see `engine`) with lognormal factors on
 the positive latents and Gaussian factors on the real ones.
 
-The minibatch likelihood forms no dense batch x vocabulary array unless
-the batch's nonzeros fill a quarter of one. Its Poisson mass factorizes per
-author into sums over the vocabulary, taken for all batch authors at once
-over bounded vocabulary tiles; the y / rate terms need only the terms each
-author's batch documents use.
+The minibatch likelihood's Poisson mass factorizes per author into sums
+over the vocabulary, taken for all batch authors at once over bounded
+vocabulary tiles. The y / rate terms take one of two layouts, chosen once
+per corpus: on a sparse corpus, a loop over the batch authors, each over
+only the terms its batch documents use; on a corpus at least a quarter
+dense, one batched pass over the G batch authors, each padded to the M
+documents of the largest, costing G * M * V * K per batch. A batch
+dominated by one author pads every other author up to that author's size.
 """
 
 from __future__ import annotations
@@ -169,8 +172,9 @@ def _mass_sums(beta, eta, x_batch, c, want_grads):
     return sums, mass
 
 
-# A batch whose nonzeros fill at least this share of its docs x V cells is
+# A corpus whose nonzeros fill at least this share of its D x V cells is
 # read as dense rows: finding each author's terms costs more than it saves.
+# Its dense copy then takes at most 8/3 the bytes of the CSR counts.
 _DENSE_SHARE = 0.25
 
 
@@ -179,22 +183,13 @@ def _count_blocks(indptr, terms, counts, bounds, num_terms):
     counts as a dense (its docs) x (those terms) block.
 
     Author g's documents are rows bounds[g]:bounds[g+1] of the CSR arrays
-    (indptr, terms, counts). In a dense batch every author takes every term,
-    and cols is a slice.
+    (indptr, terms, counts).
     """
-    num_docs = indptr.size - 1
     lengths = indptr[1:] - indptr[:-1]
-    spans = zip(bounds[:-1], bounds[1:])
-    if terms.size >= _DENSE_SHARE * num_docs * num_terms:
-        y = np.zeros((num_docs, num_terms))
-        y.ravel()[(num_terms * np.arange(num_docs)).repeat(lengths) + terms] = counts
-        for lo, hi in spans:
-            yield slice(None), y[lo:hi]
-        return
     # `rank` maps each used term to its column in the author's block;
     # entries of other terms are stale.
     rank = np.empty(num_terms, dtype=np.intp)
-    for lo, hi in spans:
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         nz = slice(indptr[lo], indptr[hi])
         cols = np.bincount(terms[nz], minlength=num_terms).nonzero()[0]
         rank[cols] = np.arange(cols.size)
@@ -216,8 +211,18 @@ class TBIPModel:
       the "-1" halves of every gradient, which need only such per-author
       sums (`_mass_sums`);
     - the y * log(lambda) terms and the y / lambda halves of the gradients,
-      which vanish off the nonzeros: one dense (docs x K) @ (K x terms)
-      product per author, over the terms its batch documents use.
+      which vanish off the nonzeros. Their layout is chosen once, from the
+      corpus's density:
+      - sparse (nonzeros below _DENSE_SHARE of D x V): one dense
+        (docs x K) @ (K x terms) product per author, over the terms its
+        batch documents use;
+      - dense: one batched pass over all G batch authors, each padded to
+        the M documents of the largest, which costs G * M * V * K per
+        batch. A padding slot has y = 0 and theta = 1 and adds exactly 0
+        to the value and every gradient. A batch dominated by one author
+        pads every other author up to that author's size. The model keeps
+        a read-only dense copy of the counts, plus one zero row used as
+        padding.
     """
 
     def __init__(self, corpus, weights):
@@ -231,13 +236,16 @@ class TBIPModel:
         self._lgamma_const = np.bincount(
             rows, weights=gammaln(vals + 1.0), minlength=corpus.num_docs
         )
+        self._dense = None
+        if vals.size >= _DENSE_SHARE * corpus.num_docs * corpus.num_terms:
+            # Row num_docs stays zero: the padding row.
+            self._dense = np.zeros((corpus.num_docs + 1, corpus.num_terms))
+            corpus.counts.toarray(out=self._dense[:-1])
+            self._dense.flags.writeable = False
 
     def loglik(self, samples, doc_idx, want_grads=False):
         theta = samples["theta"]
         beta = samples["beta"]
-        eta = samples["eta"]
-        x = samples["x"]
-        k, num_terms = beta.shape
 
         # One stable sort groups the batch by author and keeps batch order
         # within each group; author g's documents are bounds[g]:bounds[g+1].
@@ -253,25 +261,45 @@ class TBIPModel:
         th = theta[docs]
         c = np.add.reduceat(th, bounds[:-1], axis=0)
         c *= w[:, None]
-        sums, mass = _mass_sums(beta, eta, x[authors], c.T, want_grads)
-        r = sums[:, :, 0]
-        value = -float((c.T * r).sum()) - float(self._lgamma_const[docs].sum())
+        x_batch = samples["x"][authors]
+        sums, mass = _mass_sums(beta, samples["eta"], x_batch, c.T, want_grads)
+        value = -float((c.T * sums[:, :, 0]).sum()) - float(self._lgamma_const[docs].sum())
 
-        # The y / lambda half, per author over the terms its batch documents
-        # use.
+        # The y / lambda half: resid_theta per sorted batch document, the
+        # position gradient per batch author, and the (2 x K x V) y / lambda
+        # halves of the log-beta and eta gradients.
+        half = self._sparse_half if self._dense is None else self._dense_half
+        part, found = half(samples, docs, bounds, w, th, c, x_batch, sums, want_grads)
+        value += part
+        if not want_grads:
+            return value, None
+
+        resid_theta, grad_xa, terms = found
+        grad_theta = np.zeros_like(theta)
+        grad_theta[docs] = th * resid_theta
+        grad_x = np.zeros_like(samples["x"])
+        grad_x[authors] = grad_xa
+        mass *= -beta
+        mass += terms
+        return value, {"theta": grad_theta, "beta": mass[0], "eta": mass[1], "x": grad_x}
+
+    def _sparse_half(self, samples, docs, bounds, w, th, c, x_batch, sums, want_grads):
+        """Per author, over the terms its batch documents use."""
+        k, num_terms = samples["beta"].shape
         blocks = _count_blocks(*self.corpus.row_entries(docs), bounds, num_terms)
-        beta_t = np.ascontiguousarray(beta.T)
-        eta_t = np.ascontiguousarray(eta.T)
+        beta_t = np.ascontiguousarray(samples["beta"].T)
+        eta_t = np.ascontiguousarray(samples["eta"].T)
+        value = 0.0
         if want_grads:
             resid_theta = np.empty_like(th)
-            grad_x = np.zeros_like(x)
+            grad_x = np.empty_like(x_batch)
             # Per term: the y / lambda halves of the log-beta and eta
             # gradients, side by side.
             sums_t = np.zeros((num_terms, 2 * k))
-        for g, (a, (cols, y)) in enumerate(zip(authors, blocks)):
+        for g, (cols, y) in enumerate(blocks):
             lo, hi = bounds[g], bounds[g + 1]
             eta_a = eta_t[cols]
-            basis = eta_a * x[a]
+            basis = eta_a * x_batch[g]
             np.exp(basis, out=basis)
             basis *= beta_t[cols]
             lam = th[lo:hi] @ basis.T
@@ -284,25 +312,64 @@ class TBIPModel:
                 # half, like those of beta, eta and x, comes from the mass
                 # sums.
                 resid_theta[lo:hi] = resid @ basis
-                resid_theta[lo:hi] -= w[g] * r[:, g]
+                resid_theta[lo:hi] -= w[g] * sums[:, g, 0]
                 # G_a = w (theta_a^T (y / lam - 1)) * basis is the gradient
                 # with respect to log beta; eta's weighs it by x_a, and
                 # x_a's is <G_a, eta>.
                 both = np.empty((y.shape[1], 2 * k))
                 g_a = np.matmul(resid.T, th[lo:hi], out=both[:, :k])
                 g_a *= basis
-                grad_x[a] = np.vdot(g_a, eta_a) - np.vdot(c[g], sums[:, g, 1])
-                np.multiply(g_a, x[a], out=both[:, k:])
+                grad_x[g] = np.vdot(g_a, eta_a) - np.vdot(c[g], sums[:, g, 1])
+                np.multiply(g_a, x_batch[g], out=both[:, k:])
                 sums_t[cols] += both
         if not want_grads:
             return value, None
+        return value, (resid_theta, grad_x, sums_t.reshape(num_terms, 2, k).transpose(1, 2, 0))
 
-        grad_theta = np.zeros_like(theta)
-        grad_theta[docs] = th * resid_theta
-        mass *= -beta
-        mass[0] += sums_t[:, :k].T
-        mass[1] += sums_t[:, k:].T
-        return value, {"theta": grad_theta, "beta": mass[0], "eta": mass[1], "x": grad_x}
+    def _dense_half(self, samples, docs, bounds, w, th, c, x_batch, sums, want_grads):
+        """All batch authors in one batched pass over (G x M) document
+        slots, the empty ones padded."""
+        beta = samples["beta"]
+        eta = samples["eta"]
+        k, num_terms = beta.shape
+        sizes = np.diff(bounds)
+        groups, m = sizes.size, int(sizes.max())
+        rows, th_w, slot = docs, th, None
+        if docs.size < groups * m:
+            # Slot of each sorted batch document in the (G x M) layout.
+            slot = np.arange(docs.size)
+            slot += (m * np.arange(groups) - bounds[:-1]).repeat(sizes)
+            rows = np.full(groups * m, self.corpus.num_docs)
+            rows[slot] = docs
+            th_w = np.ones((groups * m, k))
+            th_w[slot] = th
+        y = self._dense.take(rows, axis=0).reshape(groups, m, num_terms)
+        # w_a theta_d: lam then needs no pass of its own to scale it.
+        th_w = th_w.reshape(groups, m, k) * w[:, None, None]
+        # basis_a = beta * exp(x_a * eta), (G x K x V).
+        basis = eta * x_batch[:, None, None]
+        np.exp(basis, out=basis)
+        basis *= beta
+        lam = th_w @ basis
+        if want_grads:
+            resid = y / lam
+        value = float(np.vdot(y, np.log(lam, out=lam)))
+        if not want_grads:
+            return value, None
+        # theta's, per slot: w_a (y / lam @ basis_a^T - r_a).
+        resid_theta = resid @ basis.transpose(0, 2, 1)
+        resid_theta -= sums[:, :, 0].T[:, None, :]
+        resid_theta *= w[:, None, None]
+        resid_theta = resid_theta.reshape(groups * m, k)
+        if slot is not None:
+            resid_theta = resid_theta[slot]
+        # G_a (G x K x V), as in the sparse half.
+        g_a = th_w.transpose(0, 2, 1) @ resid
+        g_a *= basis
+        g_flat = g_a.reshape(groups, k * num_terms)
+        grad_x = g_flat @ eta.ravel() - np.einsum("gk,kg->g", c, sums[:, :, 1])
+        terms = np.stack([np.ones(groups), x_batch]) @ g_flat
+        return value, (resid_theta, grad_x, terms.reshape(2, k, num_terms))
 
 
 def make_state(corpus, k, theta_init, beta_init, priors, rng):

@@ -132,17 +132,18 @@ class TestLoglikMatchesLoopOracle:
 
     def _check(self, corpus, dense, weights, samples, doc_idx):
         doc_idx = np.asarray(doc_idx)
-        model = TBIPModel(corpus, weights)
         exp_value, exp_grads = tbip_loglik(dense, corpus.author_of, weights, samples,
                                            doc_idx, want_grads=True)
         # theta and beta gradients are with respect to their logs: the
         # oracle's sample-space gradient times the sample.
         for name in ("theta", "beta"):
             exp_grads[name] = exp_grads[name] * samples[name]
-        # Both sides of the dense-batch rule: the batch read as dense rows,
-        # and as one block per author over its used terms.
+        # Both layouts: the corpus read as dense rows, and as one block per
+        # author over the terms its batch documents use.
         for dense_share in (0.0, np.inf):
             with mock.patch.object(tbip, "_DENSE_SHARE", dense_share):
+                model = TBIPModel(corpus, weights)
+                assert (model._dense is None) == (dense_share == np.inf)
                 value, grads = model.loglik(samples, doc_idx, want_grads=True)
                 _assert_close_rel(value, exp_value)
                 assert set(grads) == set(exp_grads)
@@ -161,6 +162,20 @@ class TestLoglikMatchesLoopOracle:
         corpus, dense, weights, samples = self._setup(1)
         docs = [int(np.flatnonzero(corpus.author_of == a)[0]) for a in (3, 0, 2, 1)]
         self._check(corpus, dense, weights, samples, docs)
+
+    def test_one_author_holds_most_of_the_batch(self):
+        """The padded layout's worst case: every other author is padded up
+        to the size of the one that dominates the batch."""
+        corpus, dense, weights, samples = self._setup(13, num_docs=60, num_authors=5)
+        big = np.flatnonzero(corpus.author_of == 3)
+        others = [int(np.flatnonzero(corpus.author_of == a)[0]) for a in (0, 1, 2, 4)]
+        docs = np.random.default_rng(14).permutation(np.concatenate([big, others]))
+        assert big.size > 2 * len(others)
+        self._check(corpus, dense, weights, samples, docs)
+
+    def test_one_document_batch(self):
+        corpus, dense, weights, samples = self._setup(15)
+        self._check(corpus, dense, weights, samples, [7])
 
     def test_repeated_authors_in_batch_order(self):
         corpus, dense, weights, samples = self._setup(2, num_docs=80)
@@ -239,6 +254,41 @@ def test_loglik_peak_memory_below_dense_batch():
     finally:
         tracemalloc.stop()
     assert peak < num_docs * num_terms * 8
+
+
+class TestCountLayout:
+    """The dense copy of the counts: kept for dense corpora only, read-only,
+    and its padding row stays zero."""
+
+    def test_sparse_corpus_keeps_no_dense_copy(self):
+        rng = np.random.default_rng(16)
+        counts = sp.random(200, 500, density=0.03, format="csr", random_state=rng)
+        counts.data = rng.poisson(1.0, counts.nnz) + 1.0
+        corpus = SparseCorpus(counts, np.arange(200) % 20, [f"a{i}" for i in range(20)])
+        assert corpus.counts.nnz < tbip._DENSE_SHARE * 200 * 500
+        assert TBIPModel(corpus, compute_weights(corpus))._dense is None
+
+    def test_dense_copy_is_read_only_and_padding_stays_zero(self):
+        corpus = _tiny_corpus(np.random.default_rng(17), num_docs=12)
+        cfg = TrainConfig(k=2, batch_size=5, max_steps=30, seed=3, lr=0.05,
+                          elbo_report_interval=10, pretrain_sweeps=5)
+        with mock.patch.object(engine, "fit", wraps=engine.fit) as fit:
+            train_tbip(corpus, cfg)
+        copy = fit.call_args.args[1]._dense
+        assert not copy.flags.writeable
+        assert np.array_equal(copy[:-1], corpus.counts.toarray())
+        assert not copy[-1].any()
+
+    def test_dense_fit_matches_forced_sparse_fit(self):
+        spec = SynthSpec(num_docs=1000, num_terms=300, num_authors=20, num_topics=5, seed=0)
+        corpus, _ = sample_tbip(spec)
+        assert corpus.counts.nnz >= tbip._DENSE_SHARE * corpus.num_docs * corpus.num_terms
+        cfg = TrainConfig(k=5, batch_size=512, max_steps=200, seed=0, lr=0.01,
+                          elbo_report_interval=100, pretrain_sweeps=10)
+        dense_fit = train_tbip(corpus, cfg)
+        with mock.patch.object(tbip, "_DENSE_SHARE", np.inf):
+            sparse_fit = train_tbip(corpus, cfg)
+        _assert_close_rel(dense_fit.x_hat, sparse_fit.x_hat, rtol=1e-9)
 
 
 class TestPinnedTiltMatchesFactorization:
