@@ -7,7 +7,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import fitio
 from .tbip import log_likelihood_doc, tbip_rate
@@ -55,6 +54,20 @@ def _pearson(a, b):
     return float(np.sum(u * v) / np.sqrt(su * sv))
 
 
+def _average_ranks(values):
+    """1-based ranks with ties sharing their average rank, as
+    `scipy.stats.rankdata` gives them; all NaN if any value is NaN."""
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def compare(a, b):
     """(Pearson, Spearman) correlation between two score vectors.
 
@@ -66,7 +79,7 @@ def compare(a, b):
         raise ValueError("inputs must be 1-D vectors of equal length")
     if a.size < 3:
         raise ValueError(f"need at least three points, got {a.size}")
-    return _pearson(a, b), _pearson(rankdata(a), rankdata(b))
+    return _pearson(a, b), _pearson(_average_ranks(a), _average_ranks(b))
 
 
 @dataclass

@@ -8,17 +8,22 @@ closed-form sweeps:
     q(theta_dk) = Gamma(a + sum_v y_dv phi_dvk,  b + sum_v E[beta_kv])
     q(beta_kv)  = Gamma(a + sum_d y_dv phi_dvk,  b + sum_d E[theta_dk])
 
-phi only needs evaluating on the stored nonzeros. Each sweep can only
-increase the augmented-model objective, which `pf_elbo` evaluates with phi
-at its closed-form optimum. Used to initialize the text ideal point model.
+Each sweep can only increase the augmented-model objective, which
+`pf_elbo` evaluates with phi at its closed-form optimum. Used to initialize
+the text ideal point model.
 
-phi is never held whole: one pass over document-aligned chunks of about
-`_CHUNK_CELLS` nonzero-topic cells reduces it to the three results its
-consumers read, the per-document and per-term sums of y * phi and the
-per-nonzero log normalizer. Each `PFState` caches that pass, so
-`pf_elbo(state)` and the following `cavi_step(state)` share one
-evaluation, and memory grows with nnz and with the factors, not with
-nnz x K.
+phi is never formed: it factorizes as exp_t[d] * exp_b[v] / norm_dv, with
+exp_t = exp(E[log theta] - row max) and exp_b = exp(E[log beta] - term max),
+so its per-document and per-term sums of y * phi are exp_t times
+R @ exp_b and exp_b times R.T @ exp_t, two sparse products with R = y / norm
+on the stored nonzeros (Hoffman, Blei & Bach 2010; Gopalan, Hofman & Blei
+2015). Only the normalizer norm_dv = exp_t[d] . exp_b[v] touches nnz x K
+cells, gathered over document-aligned chunks of about `_CHUNK_CELLS`, so
+memory grows with nnz and with the factors, not with nnz x K. Where every
+topic's shifted score is so low that norm falls below `_NORM_FLOOR`, that
+nonzero is recomputed by the shifted log-sum-exp and its y * phi added
+directly. Each `PFState` caches the pass, so `pf_elbo(state)` and the
+following `cavi_step(state)` share one evaluation.
 """
 
 from __future__ import annotations
@@ -76,8 +81,10 @@ class PFState:
         """(doc_sums, term_sums, log_norm) over the stored nonzeros of `corpus`.
 
         doc_sums (D x K) and term_sums (V x K) sum y * phi over each
-        document's and each term's nonzeros in storage order; log_norm is
-        the log-sum-exp of each nonzero's scores.
+        document's and each term's nonzeros, taken from two sparse products
+        without forming phi; log_norm is the log-sum-exp of each nonzero's
+        scores, from the factored normalizer or, where that falls below
+        `_NORM_FLOOR`, from the scores themselves.
         """
         cached = self._cache.get("phi_sums")
         if cached is None or cached[0] is not corpus:
@@ -99,8 +106,8 @@ def init_state(num_docs, num_terms, num_topics, a, b, rng):
     return PFState(q_theta, q_beta, float(a), float(b))
 
 
-# Nonzero-topic cells per chunk of the phi pass: large enough that numpy's
-# per-call overhead stays small, small enough to stay in cache.
+# Nonzero-topic cells per chunk of the normalizer's gather: large enough that
+# numpy's per-call overhead stays small, small enough to stay in cache.
 _CHUNK_CELLS = 1 << 17
 
 
@@ -118,56 +125,52 @@ def _doc_chunks(indptr, num_topics):
         d0 = d1
 
 
-def _chunk_phi(elog_theta, elog_beta_t, rows, cols):
-    """(phi, log_norm) for nonzeros at (rows, cols), given E[log beta] as V x K.
-
-    phi is len(rows) x K with rows summing to 1; log_norm is the
-    log-sum-exp of each nonzero's scores E[log theta_dk] + E[log beta_kv].
-    """
-    # Gathering rows of a contiguous V x K copy beats gathering columns of K x V.
-    shifted = np.take(elog_theta, rows, axis=0)
-    shifted += np.take(elog_beta_t, cols, axis=0)
-    top = shifted.max(axis=1, keepdims=True)
-    shifted -= top
-    # log_norm follows scipy's logsumexp step for step, so `pf_elbo` keeps
-    # its values bit for bit: the maximal entries are split out and the
-    # rest summed through log1p.
-    tied = shifted == 0.0
-    phi = np.exp(shifted, out=shifted)
-    rest = np.where(tied, 0.0, phi).sum(axis=1, keepdims=True)
-    ties = tied.sum(axis=1, keepdims=True, dtype=np.float64)
-    rest = np.where(rest == 0, rest, rest / ties)
-    log_norm = (np.log1p(rest) + np.log(ties) + top).ravel()
-    phi /= phi.sum(axis=1, keepdims=True)
-    return phi, log_norm
+# The factored normalizer of a nonzero is exp(log_norm - rowmax - termmax).
+# Below this floor the topics' products of shifted factors may all have
+# underflowed, so those nonzeros take the shifted log-sum-exp instead. Above
+# it, a product lost to underflow (under 2.3e-308) moves phi by under 1e-157,
+# and y / norm stays finite for any count below 1e158.
+_NORM_FLOOR = 1e-150
 
 
 def _phi_pass(elog_theta, elog_beta, counts):
     """(doc_sums, term_sums, log_norm) for the CSR `counts`; see
-    `PFState.phi_sums`. Each output cell adds its terms in storage order,
-    as one bincount over all nonzeros would."""
-    num_docs, num_terms = counts.shape
-    num_topics = elog_theta.shape[1]
+    `PFState.phi_sums`."""
     indptr, cols, y = counts.indptr, counts.indices, counts.data
-    elog_beta_t = np.ascontiguousarray(elog_beta.T)
-    topics = np.arange(num_topics)
-    doc_sums = np.empty((num_docs, num_topics))
-    term_sums = np.zeros(num_terms * num_topics)
+    rowmax = elog_theta.max(axis=1)
+    termmax = elog_beta.max(axis=0)
+    exp_t = np.exp(elog_theta - rowmax[:, None])
+    # V x K in C order: gathering rows beats gathering columns of K x V.
+    exp_b = np.ascontiguousarray(np.exp(elog_beta - termmax).T)
+    norm = np.empty(y.size)
     log_norm = np.empty(y.size)
-    for d0, d1 in _doc_chunks(indptr, num_topics):
+    for d0, d1 in _doc_chunks(indptr, elog_theta.shape[1]):
         s, e = indptr[d0], indptr[d1]
-        starts = indptr[d0 : d1 + 1] - s
-        rows = np.repeat(np.arange(d0, d1), np.diff(starts))
-        phi, log_norm[s:e] = _chunk_phi(elog_theta, elog_beta_t, rows, cols[s:e])
-        # A document x nonzero operator carrying y: each row sums y * phi
-        # over its own nonzeros, so document-aligned chunks change nothing.
-        by_doc = sp.csr_matrix((y[s:e], np.arange(e - s), starts), shape=(d1 - d0, e - s))
-        doc_sums[d0:d1] = by_doc @ phi
-        # Terms recur across chunks: add.at adds in index order, so each
-        # term's sum keeps the storage order of all its nonzeros.
-        phi *= y[s:e, None]
-        np.add.at(term_sums, (cols[s:e, None] * num_topics + topics).ravel(), phi.ravel())
-    return doc_sums, term_sums.reshape(num_terms, num_topics), log_norm
+        rows = np.repeat(np.arange(d0, d1), np.diff(indptr[d0 : d1 + 1]))
+        norm[s:e] = np.einsum(
+            "ij,ij->i", np.take(exp_t, rows, axis=0), np.take(exp_b, cols[s:e], axis=0)
+        )
+        log_norm[s:e] = rowmax[rows] + termmax[cols[s:e]]
+    low = np.flatnonzero(norm < _NORM_FLOOR)
+    norm[low] = np.inf  # drops them from the products below
+    log_norm += np.log(norm)
+    # y / norm as a document x term matrix: phi summed over a document's
+    # nonzeros is exp_t times a product with exp_b, and likewise per term.
+    scaled = sp.csr_matrix((y / norm, cols, indptr), shape=counts.shape)
+    doc_sums = exp_t * (scaled @ exp_b)
+    term_sums = exp_b * (scaled.T @ exp_t)
+    if low.size:
+        rows = np.searchsorted(indptr, low, side="right") - 1
+        scores = elog_theta[rows] + elog_beta[:, cols[low]].T
+        top = scores.max(axis=1, keepdims=True)
+        phi = np.exp(scores - top)
+        total = phi.sum(axis=1, keepdims=True)
+        log_norm[low] = (np.log(total) + top).ravel()
+        phi *= y[low, None] / total
+        ones, where = np.ones(low.size), np.arange(low.size)
+        for sums, index in ((doc_sums, rows), (term_sums, cols[low])):
+            sums += sp.csr_matrix((ones, (index, where)), shape=(len(sums), low.size)) @ phi
+    return doc_sums, term_sums, log_norm
 
 
 def cavi_step(state, corpus):

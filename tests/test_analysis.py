@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,11 +10,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
-from scipy.stats import poisson
+from scipy.stats import poisson, rankdata
 
+import textideal
 from textideal.analysis import (
     AlignedIdealPoints,
     ZeroVariance,
+    _average_ranks,
     align,
     compare,
     expected_count_ratio,
@@ -97,6 +102,29 @@ class TestCompare:
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
             compare(np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=40))
+    def test_average_ranks_match_scipy(self, values):
+        """Drawn from seven values, so most inputs hold ties."""
+        values = np.array(values, dtype=np.float64)
+        assert np.array_equal(_average_ranks(values), rankdata(values))
+
+    def test_average_ranks_propagate_nan(self):
+        values = np.array([2.0, np.nan, 1.0])
+        assert np.all(np.isnan(_average_ranks(values)))
+        assert np.all(np.isnan(rankdata(values)))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """Every CLI command is a fresh process; scipy.stats alone took most
+    of the package's import time."""
+    src = str(Path(textideal.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, textideal, textideal.cli; sys.exit('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          timeout=120)
+    assert done.returncode == 0
 
 
 def _fit(beta, eta, theta=None, x=None, eta_sigma=None, names=None):

@@ -1,13 +1,15 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 
-from _oracles import pf_objective, pf_phi, pf_sweep
+from _oracles import pf_objective, pf_sweep
 from textideal import pf
 from textideal.corpus import SparseCorpus
 from textideal.synth import SynthSpec, sample_tbip
@@ -20,12 +22,33 @@ def _corpus(dense, num_authors=2):
                         [f"a{i}" for i in range(num_authors)])
 
 
-def _phi(state, corpus):
-    """phi over every stored nonzero, from the chunk-level kernel."""
-    rows, cols, _ = corpus.entries()
-    elog_theta, elog_beta = state.expected_logs()
-    phi, _ = pf._chunk_phi(elog_theta, np.ascontiguousarray(elog_beta.T), rows, cols)
-    return phi
+def _term_totals(corpus):
+    _, cols, y = corpus.entries()
+    return np.bincount(cols, weights=y, minlength=corpus.num_terms)
+
+
+def _assert_matches_sweep(state, corpus, exact=False):
+    """cavi_step(state) against the bincount oracle, bit for bit or to
+    1e-12 relative; returns the new state."""
+    rows, cols, y = corpus.entries()
+    expected = pf_sweep(state, rows, cols, y, corpus.counts.shape)
+    state = pf.cavi_step(state, corpus)
+    got = (state.q_theta.shape, state.q_theta.rate, state.q_beta.shape, state.q_beta.rate)
+    for g, e in zip(got, expected):
+        if exact:
+            assert np.array_equal(g, e)
+        else:
+            np.testing.assert_allclose(g, e, rtol=1e-12, atol=0)
+    return state
+
+
+def _assert_matches_objective(state, corpus, exact=False):
+    rows, cols, y = corpus.entries()
+    value, expected = pf.pf_elbo(state, corpus), pf_objective(state, rows, cols, y)
+    if exact:
+        assert value == expected
+    else:
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def _random_corpus(rng, num_docs, num_terms, lam=1.0):
@@ -36,21 +59,23 @@ def _random_corpus(rng, num_docs, num_terms, lam=1.0):
 
 class TestCaviStep:
     def test_responsibilities_normalized(self):
+        """phi sums to 1 over topics, so each document's and each term's
+        sums of y * phi add up to its total count."""
         rng = np.random.default_rng(0)
         corpus = _random_corpus(rng, 6, 9)
         state = pf.init_state(6, 9, 3, 0.3, 0.3, rng)
-        rows, cols, _ = corpus.entries()
-        phi = _phi(state, corpus)
-        assert np.allclose(phi.sum(axis=1), 1.0)
-        assert np.all(phi >= 0)
-        assert np.array_equal(phi, pf_phi(state, rows, cols))
+        doc_sums, term_sums, _ = state.phi_sums(corpus)
+        assert np.all(doc_sums >= 0) and np.all(term_sums >= 0)
+        np.testing.assert_allclose(doc_sums.sum(axis=1), corpus.doc_totals(), rtol=1e-12)
+        np.testing.assert_allclose(term_sums.sum(axis=1), _term_totals(corpus), rtol=1e-12)
 
     def test_single_topic_allocates_everything(self):
         rng = np.random.default_rng(1)
         corpus = _random_corpus(rng, 5, 7)
         state = pf.init_state(5, 7, 1, 0.5, 0.5, rng)
-        phi = _phi(state, corpus)
-        assert np.array_equal(phi, np.ones_like(phi))
+        doc_sums, term_sums, _ = state.phi_sums(corpus)
+        assert np.array_equal(doc_sums[:, 0], corpus.doc_totals())
+        assert np.array_equal(term_sums[:, 0], _term_totals(corpus))
         new = pf.cavi_step(state, corpus)
         row_sums = np.asarray(corpus.counts.sum(axis=1)).ravel()
         assert np.allclose(new.q_theta.shape[:, 0], 0.5 + row_sums)
@@ -74,27 +99,23 @@ def _with_empty_row(rng, num_docs, num_terms, empty_row):
 
 
 class TestMatchesLoopOracle:
-    """The chunked sweep and objective equal the bincount/logsumexp forms
-    bit for bit, with and without the pass cached by `pf_elbo`."""
+    """The factored sweep and objective agree with the bincount/logsumexp
+    forms to 1e-12 relative, and bit for bit with one topic, with and
+    without the pass cached by `pf_elbo`."""
 
     @pytest.mark.parametrize("num_topics", [1, 2, 5, 12])
     def test_sweeps_and_objective_bitwise(self, num_topics):
         rng = np.random.default_rng(10 + num_topics)
         corpus = _with_empty_row(rng, 30, 70, empty_row=4)
         assert corpus.counts.getrow(4).nnz == 0
-        rows, cols, y = corpus.entries()
+        exact = num_topics == 1
         state = pf.init_state(30, 70, num_topics, 0.3, 0.4, rng)
         for sweep in range(4):
             if sweep % 2:
-                # cavi_step reuses the scores pf_elbo cached on this state.
-                assert pf.pf_elbo(state, corpus) == pf_objective(state, rows, cols, y)
-            expected = pf_sweep(state, rows, cols, y, corpus.counts.shape)
-            state = pf.cavi_step(state, corpus)
-            got = (state.q_theta.shape, state.q_theta.rate,
-                   state.q_beta.shape, state.q_beta.rate)
-            for g, e in zip(got, expected):
-                assert np.array_equal(g, e)
-            assert pf.pf_elbo(state, corpus) == pf_objective(state, rows, cols, y)
+                # cavi_step reuses the pass pf_elbo cached on this state.
+                _assert_matches_objective(state, corpus, exact)
+            state = _assert_matches_sweep(state, corpus, exact)
+            _assert_matches_objective(state, corpus, exact)
 
     @pytest.mark.parametrize("num_topics", [1, 3, 7])
     def test_many_chunks_bitwise(self, monkeypatch, num_topics):
@@ -115,32 +136,33 @@ class TestMatchesLoopOracle:
         assert any(indptr[d1] - indptr[d0] > step for d0, d1 in chunks)
         assert any(indptr[d1] == indptr[d1 - 1] for _, d1 in chunks[:-1])
 
-        rows, cols, y = corpus.entries()
+        exact = num_topics == 1
         state = pf.init_state(*dense.shape, num_topics, 0.3, 0.4, rng)
         for _ in range(3):
-            assert pf.pf_elbo(state, corpus) == pf_objective(state, rows, cols, y)
-            expected = pf_sweep(state, rows, cols, y, dense.shape)
-            state = pf.cavi_step(state, corpus)
-            got = (state.q_theta.shape, state.q_theta.rate,
-                   state.q_beta.shape, state.q_beta.rate)
-            for g, e in zip(got, expected):
-                assert np.array_equal(g, e)
+            _assert_matches_objective(state, corpus, exact)
+            state = _assert_matches_sweep(state, corpus, exact)
 
     @pytest.mark.parametrize("theta_shapes", [[1.3, 1.3, 1.3], [1.3, 0.8, 1.3]])
     def test_tied_maximal_scores(self, theta_shapes):
         """Topics with equal factors tie at the maximum score on every
-        nonzero, all of them or two out of three."""
+        nonzero, all of them or two out of three: tied topics receive equal
+        sums, and every count is allocated."""
         rng = np.random.default_rng(20)
         corpus = _random_corpus(rng, 5, 6)
-        rows, cols, y = corpus.entries()
         state = pf.PFState(
             pf.GammaFamily(np.tile(theta_shapes, (5, 1)), np.full((5, 3), 0.7)),
             pf.GammaFamily(np.full((3, 6), 0.9), np.full((3, 6), 1.1)),
             0.3,
             0.3,
         )
-        assert pf.pf_elbo(state, corpus) == pf_objective(state, rows, cols, y)
-        assert np.array_equal(_phi(state, corpus), pf_phi(state, rows, cols))
+        doc_sums, term_sums, _ = state.phi_sums(corpus)
+        tied = [k for k in range(3) if theta_shapes[k] == theta_shapes[0]]
+        for sums in (doc_sums, term_sums):
+            assert all(np.array_equal(sums[:, k], sums[:, tied[0]]) for k in tied)
+        np.testing.assert_allclose(doc_sums.sum(axis=1), corpus.doc_totals(), rtol=1e-12)
+        np.testing.assert_allclose(term_sums.sum(axis=1), _term_totals(corpus), rtol=1e-12)
+        _assert_matches_objective(state, corpus)
+        _assert_matches_sweep(state, corpus)
 
     def test_pretrain_matches_oracle_sweeps(self):
         rng = np.random.default_rng(21)
@@ -151,8 +173,60 @@ class TestMatchesLoopOracle:
         for _ in range(6):
             ts, tr, bs, br = pf_sweep(state, rows, cols, y, corpus.counts.shape)
             state = pf.PFState(pf.GammaFamily(ts, tr), pf.GammaFamily(bs, br), 0.3, 0.3)
-        assert np.array_equal(theta, state.q_theta.mean())
-        assert np.array_equal(beta, state.q_beta.mean())
+        np.testing.assert_allclose(theta, state.q_theta.mean(), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(beta, state.q_beta.mean(), rtol=1e-12, atol=0)
+
+    def test_underflowing_normalizer(self):
+        """Topic 0 dominates document 0 and topic 1 dominates term 0, each
+        by about 1000 nats, so at nonzero (0, 0) every topic's product of
+        shifted factors underflows and the factored normalizer is 0. That
+        nonzero takes the exact fallback; the other three do not."""
+        corpus = _corpus([[3.0, 2.0], [1.0, 4.0]])
+        state = pf.PFState(
+            pf.GammaFamily(np.array([[1e3, 1e-3], [1.0, 1.0]]), np.ones((2, 2))),
+            pf.GammaFamily(np.array([[1e-3, 1.0], [1e3, 1.0]]), np.ones((2, 2))),
+            0.3,
+            0.3,
+        )
+        elog_theta, elog_beta = state.expected_logs()
+        shifted = (elog_theta[0] - elog_theta[0].max()) + (elog_beta[:, 0] - elog_beta[:, 0].max())
+        assert np.all(np.exp(shifted) == 0.0)
+        for out in state.phi_sums(corpus):
+            assert np.all(np.isfinite(out))
+        _assert_matches_objective(state, corpus)
+        _assert_matches_sweep(state, corpus)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        num_docs=st.integers(1, 7),
+        num_terms=st.integers(1, 7),
+        num_topics=st.integers(1, 12),
+        chunk_cells=st.sampled_from([24, 60, 1 << 17]),
+        log_shapes=st.tuples(st.floats(math.log(0.3), math.log(1e6)),
+                             st.floats(math.log(0.3), math.log(1e6))),
+        prior_shape=st.sampled_from([1e-8, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_states_match_oracles(self, num_docs, num_terms, num_topics, chunk_cells,
+                                         log_shapes, prior_shape, seed):
+        """Small corpora with empty documents and terms, Gamma shapes
+        log-uniform over a drawn part of [0.3, 1e6], chunks from a few
+        nonzeros up. A small prior shape leaves the sums visible in the
+        compared shapes."""
+        rng = np.random.default_rng(seed)
+        dense = rng.poisson(2.0, size=(num_docs, num_terms)) * (rng.uniform(size=(num_docs, num_terms)) < 0.5)
+        corpus = _corpus(dense)
+        lo, hi = sorted(log_shapes)
+
+        def family(shape):
+            return pf.GammaFamily(np.exp(rng.uniform(lo, hi, shape)),
+                                  np.exp(rng.uniform(math.log(0.3), math.log(10.0), shape)))
+
+        state = pf.PFState(family((num_docs, num_topics)), family((num_topics, num_terms)),
+                           prior_shape, 0.3)
+        with mock.patch.object(pf, "_CHUNK_CELLS", chunk_cells):
+            _assert_matches_objective(state, corpus)
+            _assert_matches_sweep(state, corpus)
 
 
 class TestMemory:
