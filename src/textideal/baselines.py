@@ -131,7 +131,7 @@ class WordfishModel:
         self.term_slices = _runs([v for _, v in self.shapes])
         self._lgamma_const = [gammaln(c + 1.0).sum(axis=1).sum() for c in self.blocks]
 
-    def loglik(self, samples, author_idx, want_grads=False):
+    def loglik(self, samples, author_idx):
         if not np.array_equal(author_idx, np.arange(self.num_items)):
             raise ValueError("wordfish is full-batch: author_idx must cover every author in order")
         alpha = samples["alpha"]
@@ -139,21 +139,18 @@ class WordfishModel:
         b = samples["b"]
         x = samples["x"]
         value = 0.0
-        grads = None
-        if want_grads:
-            grads = {name: np.empty_like(samples[name]) for name in ("alpha", "psi", "b", "x")}
+        grads = {name: np.empty_like(samples[name]) for name in ("alpha", "psi", "b", "x")}
         for y, const, rows, terms in zip(
             self.blocks, self._lgamma_const, self.author_slices, self.term_slices
         ):
             t = alpha[rows, None] + psi[terms] + x[rows, None] * b[terms]
             lam = np.exp(t)
             value += float(np.sum(y * t - lam) - const)
-            if want_grads:
-                g = y - lam
-                grads["alpha"][rows] = g.sum(axis=1)
-                grads["x"][rows] = g @ b[terms]
-                grads["psi"][terms] = g.sum(axis=0)
-                grads["b"][terms] = g.T @ x[rows]
+            g = y - lam
+            grads["alpha"][rows] = g.sum(axis=1)
+            grads["x"][rows] = g @ b[terms]
+            grads["psi"][terms] = g.sum(axis=0)
+            grads["b"][terms] = g.T @ x[rows]
         return value, grads
 
 

@@ -8,11 +8,12 @@ Subcommands wrap the library modules without adding numeric logic:
     synth        tbip | votes -> synthetic data with a truth file
 
 Each command accepts only the flags it reads and returns the fields of its
-run manifest (config, seed, inputs, final objective value); `main` writes the
-manifest into the output directory of every successful run. Commands leave
-input checks to the library readers and estimators; `main` alone turns an
-exception into an exit code: 0 ok, 1 I/O error (a missing or unreadable
-file, logged with its path), 2 validation error, 3 numeric failure.
+run manifest (config, seed, inputs, final objective value); `main` removes
+any manifest already in the output directory, then writes one there when
+the run succeeds. Commands leave input checks to the library readers and
+estimators; `main` alone turns an exception into an exit code: 0 ok, 1 I/O
+error (a missing or unreadable file, logged with its path), 2 validation
+error, 3 numeric failure (a non-finite objective, or a rate that overflows).
 """
 
 from __future__ import annotations
@@ -449,13 +450,15 @@ def main(argv=None):
     )
     started = time.time()
     try:
+        # Only a run that finishes leaves a manifest, even in a reused directory.
+        (args.output_dir / MANIFEST_NAME).unlink(missing_ok=True)
         config, seed, inputs, final_elbo = args.func(args)
         write_manifest(args.output_dir, args.run_name, config, seed, inputs, started,
                        final_elbo)
     except OSError as exc:  # its message names the file
         log.error("%s", exc)
         return EXIT_IO
-    except NonFiniteElbo as exc:
+    except (NonFiniteElbo, OverflowError) as exc:
         log.error("%s", exc)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -180,7 +180,7 @@ class VariationalState:
         return {name: fam.posterior_mean() for name, fam in self.families.items()}
 
 
-def _estimate(state, batch, model, num_items, noise, want_grads):
+def _estimate(state, batch, model, num_items, noise):
     """(objective estimate, the state's draws, likelihood gradients, scale)."""
     batch = np.atleast_1d(np.asarray(batch))
     if batch.size == 0:
@@ -193,7 +193,7 @@ def _estimate(state, batch, model, num_items, noise, want_grads):
         log_prior += state.priors[name].log_prob(u, s)
         log_q += state.families[name].log_density(u, sigma)
     samples = {name: s for name, (_, s, _) in draws.items()}
-    loglik, lik_grads = model.loglik(samples, batch, want_grads=want_grads)
+    loglik, lik_grads = model.loglik(samples, batch)
     scale = num_items / batch.size
     return log_prior + scale * loglik - log_q, draws, lik_grads, scale
 
@@ -202,9 +202,10 @@ def elbo_estimate(state, batch, model, num_items, noise):
     """Single-draw objective estimate for one minibatch of items.
 
     The likelihood over the batch is rescaled by num_items / len(batch);
-    prior and entropy terms cover every factor in full.
+    prior and entropy terms cover every factor in full. The model's pass is
+    the one `gradient` runs; only the per-factor derivatives are skipped.
     """
-    return _estimate(state, batch, model, num_items, noise, want_grads=False)[0]
+    return _estimate(state, batch, model, num_items, noise)[0]
 
 
 def gradient(state, batch, model, num_items, noise):
@@ -213,9 +214,7 @@ def gradient(state, batch, model, num_items, noise):
     Returns {'<name>.mu': g, '<name>.log_sigma': g} plus the estimate itself
     under the key '__elbo__' (computed from the same pass).
     """
-    value, draws, lik_grads, scale = _estimate(
-        state, batch, model, num_items, noise, want_grads=True
-    )
+    value, draws, lik_grads, scale = _estimate(state, batch, model, num_items, noise)
     grads = {"__elbo__": value}
     for name, (_, s, sigma) in draws.items():
         du = state.priors[name].dlog_prob(s)

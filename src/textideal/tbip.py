@@ -11,13 +11,14 @@ initializes theta/beta from a Poisson factorization pretrain, then runs
 stochastic reparameterized ascent (see `engine`) with lognormal factors on
 the positive latents and Gaussian factors on the real ones.
 
-The minibatch likelihood's Poisson mass factorizes per author into sums
-over the vocabulary, taken for all batch authors at once over bounded
-vocabulary tiles. The y / rate terms take one of two layouts, chosen once
-per corpus: on a sparse corpus, a loop over the batch authors, each over
-only the terms its batch documents use; on a corpus at least a quarter
-dense, one batched pass over the G batch authors, each padded to the M
-documents of the largest, costing G * M * V * K per batch. A batch
+The minibatch likelihood and its gradients come from one pass in one of
+two self-contained layouts, chosen once per corpus. On a sparse corpus the
+Poisson mass comes from per-author sums over bounded vocabulary tiles, and
+the y / rate terms from a loop over the batch authors, each over only the
+terms its batch documents use. On a corpus at least a quarter dense, one
+batched pass over the G batch authors, each padded to the M documents of
+the largest, forms each author's tilted basis once and takes the mass and
+the y / rate terms from it, costing G * M * V * K per batch. A batch
 dominated by one author pads every other author up to that author's size.
 """
 
@@ -140,35 +141,30 @@ def log_likelihood_doc(y_d, rate):
 _TILE_CELLS = 1 << 17
 
 
-def _mass_sums(beta, eta, x_batch, c, want_grads):
-    """Per-author sums over the vocabulary that give the Poisson mass.
+def _mass_sums(beta, eta, x_batch, c):
+    """Per-author sums over the vocabulary that give the sparse layout's
+    Poisson mass; that layout is the only caller.
 
     With E_a = exp(x_a * eta) for the G batch authors and c (K x G), returns
     `sums` (K x G x 2), r_a = sum_v beta * E_a and q_a = sum_v beta * eta *
-    E_a, and, with gradients, `mass` (2 x K x V), sum_a c_a * E_a and
-    sum_a x_a * c_a * E_a (else None). E is built one vocabulary tile of at
-    most _TILE_CELLS cells at a time.
+    E_a, and `mass` (2 x K x V), sum_a c_a * E_a and sum_a x_a * c_a * E_a.
+    E is built one vocabulary tile of at most _TILE_CELLS cells at a time.
     """
     k, v = beta.shape
     tile = max(1, _TILE_CELLS // max(1, k * x_batch.size))
     x_col = x_batch[:, None]
     sums = np.zeros((k, x_batch.size, 2))
-    mass = None
-    if want_grads:
-        lhs = np.stack([c, c * x_batch], axis=1)
-        mass = np.empty((2, k, v))
+    lhs = np.stack([c, c * x_batch], axis=1)
+    mass = np.empty((2, k, v))
     for v0 in range(0, v, tile):
         cols = slice(v0, v0 + tile)
         e = eta[:, None, cols] * x_col
         np.exp(e, out=e)
-        # r and q come from one product in both modes, so the value does
-        # not depend on whether gradients are wanted.
         rhs = np.empty((k, e.shape[2], 2))
         rhs[:, :, 0] = beta[:, cols]
         np.multiply(beta[:, cols], eta[:, cols], out=rhs[:, :, 1])
         sums += e @ rhs
-        if want_grads:
-            mass[:, :, cols] = (lhs @ e).transpose(1, 0, 2)
+        mass[:, :, cols] = (lhs @ e).transpose(1, 0, 2)
     return sums, mass
 
 
@@ -205,24 +201,23 @@ class TBIPModel:
     samples of eta and x, and to the logs of the theta and beta samples.
 
     Document d of author a has rates lambda_d = w_a theta_d @ basis_a with
-    basis_a = beta * exp(x_a * eta). The likelihood has two halves:
-    - the mass, sum_d sum_v lambda_dv = sum_a <c_a, r_a>, with
-      c_a = w_a sum_{d in batch(a)} theta_d and r_a = sum_v basis_a, and
-      the "-1" halves of every gradient, which need only such per-author
-      sums (`_mass_sums`);
-    - the y * log(lambda) terms and the y / lambda halves of the gradients,
-      which vanish off the nonzeros. Their layout is chosen once, from the
-      corpus's density:
-      - sparse (nonzeros below _DENSE_SHARE of D x V): one dense
-        (docs x K) @ (K x terms) product per author, over the terms its
-        batch documents use;
-      - dense: one batched pass over all G batch authors, each padded to
-        the M documents of the largest, which costs G * M * V * K per
-        batch. A padding slot has y = 0 and theta = 1 and adds exactly 0
-        to the value and every gradient. A batch dominated by one author
-        pads every other author up to that author's size. The model keeps
-        a read-only dense copy of the counts, plus one zero row used as
-        padding.
+    basis_a = beta * exp(x_a * eta). The likelihood is the mass, sum_d sum_v
+    lambda_dv = sum_a <c_a, r_a> with c_a = w_a sum_{d in batch(a)} theta_d
+    and r_a = sum_v basis_a, against the y * log(lambda) terms, which vanish
+    off the nonzeros. `loglik` groups the batch by author, then one of two
+    layouts, chosen once from the corpus's density, computes the whole
+    value and every gradient:
+    - sparse (nonzeros below _DENSE_SHARE of D x V): the mass and the "-1"
+      halves of the gradients from per-author sums over vocabulary tiles
+      (`_mass_sums`), and one dense (docs x K) @ (K x terms) product per
+      author over the terms its batch documents use;
+    - dense: one batched pass over all G batch authors, each padded to the
+      M documents of the largest, which costs G * M * V * K per batch. It
+      forms basis_a once and takes r_a, lambda and the gradients from it.
+      A padding slot has y = 0 and theta = 1 and adds exactly 0 to the
+      value and every gradient. A batch dominated by one author pads every
+      other author up to that author's size. The model keeps a read-only
+      dense copy of the counts, plus one zero row used as padding.
     """
 
     def __init__(self, corpus, weights):
@@ -243,9 +238,8 @@ class TBIPModel:
             corpus.counts.toarray(out=self._dense[:-1])
             self._dense.flags.writeable = False
 
-    def loglik(self, samples, doc_idx, want_grads=False):
+    def loglik(self, samples, doc_idx):
         theta = samples["theta"]
-        beta = samples["beta"]
 
         # One stable sort groups the batch by author and keeps batch order
         # within each group; author g's documents are bounds[g]:bounds[g+1].
@@ -262,40 +256,35 @@ class TBIPModel:
         c = np.add.reduceat(th, bounds[:-1], axis=0)
         c *= w[:, None]
         x_batch = samples["x"][authors]
-        sums, mass = _mass_sums(beta, samples["eta"], x_batch, c.T, want_grads)
-        value = -float((c.T * sums[:, :, 0]).sum()) - float(self._lgamma_const[docs].sum())
 
-        # The y / lambda half: resid_theta per sorted batch document, the
-        # position gradient per batch author, and the (2 x K x V) y / lambda
-        # halves of the log-beta and eta gradients.
-        half = self._sparse_half if self._dense is None else self._dense_half
-        part, found = half(samples, docs, bounds, w, th, c, x_batch, sums, want_grads)
-        value += part
-        if not want_grads:
-            return value, None
-
-        resid_theta, grad_xa, terms = found
+        # The mass, the y * log(lambda) terms, resid_theta per sorted batch
+        # document, the position gradient per batch author, and the pair of
+        # log-beta and eta gradients (K x V each).
+        layout = self._sparse_layout if self._dense is None else self._dense_layout
+        mass, part, resid_theta, grad_xa, terms = layout(samples, docs, bounds, w, th, c,
+                                                         x_batch)
+        value = -mass - float(self._lgamma_const[docs].sum()) + part
         grad_theta = np.zeros_like(theta)
         grad_theta[docs] = th * resid_theta
         grad_x = np.zeros_like(samples["x"])
         grad_x[authors] = grad_xa
-        mass *= -beta
-        mass += terms
-        return value, {"theta": grad_theta, "beta": mass[0], "eta": mass[1], "x": grad_x}
+        return value, {"theta": grad_theta, "beta": terms[0], "eta": terms[1], "x": grad_x}
 
-    def _sparse_half(self, samples, docs, bounds, w, th, c, x_batch, sums, want_grads):
-        """Per author, over the terms its batch documents use."""
-        k, num_terms = samples["beta"].shape
+    def _sparse_layout(self, samples, docs, bounds, w, th, c, x_batch):
+        """The mass from `_mass_sums`; the y / lambda terms per author, over
+        the terms its batch documents use."""
+        beta = samples["beta"]
+        k, num_terms = beta.shape
+        sums, terms = _mass_sums(beta, samples["eta"], x_batch, c.T)
         blocks = _count_blocks(*self.corpus.row_entries(docs), bounds, num_terms)
-        beta_t = np.ascontiguousarray(samples["beta"].T)
+        beta_t = np.ascontiguousarray(beta.T)
         eta_t = np.ascontiguousarray(samples["eta"].T)
-        value = 0.0
-        if want_grads:
-            resid_theta = np.empty_like(th)
-            grad_x = np.empty_like(x_batch)
-            # Per term: the y / lambda halves of the log-beta and eta
-            # gradients, side by side.
-            sums_t = np.zeros((num_terms, 2 * k))
+        part = 0.0
+        resid_theta = np.empty_like(th)
+        grad_x = np.empty_like(x_batch)
+        # Per term: the y / lambda halves of the log-beta and eta gradients,
+        # side by side.
+        sums_t = np.zeros((num_terms, 2 * k))
         for g, (cols, y) in enumerate(blocks):
             lo, hi = bounds[g], bounds[g + 1]
             eta_a = eta_t[cols]
@@ -304,35 +293,33 @@ class TBIPModel:
             basis *= beta_t[cols]
             lam = th[lo:hi] @ basis.T
             lam *= w[g]
-            value += float(np.vdot(y, np.log(lam)))
-            if want_grads:
-                resid = y / lam
-                resid *= w[g]
-                # theta's gradient is with respect to log theta. Its "-1"
-                # half, like those of beta, eta and x, comes from the mass
-                # sums.
-                resid_theta[lo:hi] = resid @ basis
-                resid_theta[lo:hi] -= w[g] * sums[:, g, 0]
-                # G_a = w (theta_a^T (y / lam - 1)) * basis is the gradient
-                # with respect to log beta; eta's weighs it by x_a, and
-                # x_a's is <G_a, eta>.
-                both = np.empty((y.shape[1], 2 * k))
-                g_a = np.matmul(resid.T, th[lo:hi], out=both[:, :k])
-                g_a *= basis
-                grad_x[g] = np.vdot(g_a, eta_a) - np.vdot(c[g], sums[:, g, 1])
-                np.multiply(g_a, x_batch[g], out=both[:, k:])
-                sums_t[cols] += both
-        if not want_grads:
-            return value, None
-        return value, (resid_theta, grad_x, sums_t.reshape(num_terms, 2, k).transpose(1, 2, 0))
+            part += float(np.vdot(y, np.log(lam)))
+            resid = y / lam
+            resid *= w[g]
+            # theta's gradient is with respect to log theta. Its "-1" half,
+            # like those of beta, eta and x, comes from the mass sums.
+            resid_theta[lo:hi] = resid @ basis
+            resid_theta[lo:hi] -= w[g] * sums[:, g, 0]
+            # G_a = w (theta_a^T (y / lam - 1)) * basis is the gradient with
+            # respect to log beta; eta's weighs it by x_a, and x_a's is
+            # <G_a, eta>.
+            both = np.empty((y.shape[1], 2 * k))
+            g_a = np.matmul(resid.T, th[lo:hi], out=both[:, :k])
+            g_a *= basis
+            grad_x[g] = np.vdot(g_a, eta_a) - np.vdot(c[g], sums[:, g, 1])
+            np.multiply(g_a, x_batch[g], out=both[:, k:])
+            sums_t[cols] += both
+        terms *= -beta
+        terms += sums_t.reshape(num_terms, 2, k).transpose(1, 2, 0)
+        return float((c.T * sums[:, :, 0]).sum()), part, resid_theta, grad_x, terms
 
-    def _dense_half(self, samples, docs, bounds, w, th, c, x_batch, sums, want_grads):
+    def _dense_layout(self, samples, docs, bounds, w, th, c, x_batch):
         """All batch authors in one batched pass over (G x M) document
-        slots, the empty ones padded."""
+        slots, the empty ones padded; the mass from the same basis."""
         beta = samples["beta"]
         eta = samples["eta"]
         k, num_terms = beta.shape
-        sizes = np.diff(bounds)
+        sizes = bounds[1:] - bounds[:-1]
         groups, m = sizes.size, int(sizes.max())
         rows, th_w, slot = docs, th, None
         if docs.size < groups * m:
@@ -346,30 +333,32 @@ class TBIPModel:
         y = self._dense.take(rows, axis=0).reshape(groups, m, num_terms)
         # w_a theta_d: lam then needs no pass of its own to scale it.
         th_w = th_w.reshape(groups, m, k) * w[:, None, None]
-        # basis_a = beta * exp(x_a * eta), (G x K x V).
+        # basis_a = beta * exp(x_a * eta), (G x K x V), and r_a its sum over
+        # the vocabulary, (G x K).
         basis = eta * x_batch[:, None, None]
         np.exp(basis, out=basis)
         basis *= beta
+        r = basis.sum(axis=2)
         lam = th_w @ basis
-        if want_grads:
-            resid = y / lam
-        value = float(np.vdot(y, np.log(lam, out=lam)))
-        if not want_grads:
-            return value, None
+        resid = y / lam
+        part = float(np.vdot(y, np.log(lam, out=lam)))
         # theta's, per slot: w_a (y / lam @ basis_a^T - r_a).
         resid_theta = resid @ basis.transpose(0, 2, 1)
-        resid_theta -= sums[:, :, 0].T[:, None, :]
+        resid_theta -= r[:, None, :]
         resid_theta *= w[:, None, None]
         resid_theta = resid_theta.reshape(groups * m, k)
         if slot is not None:
             resid_theta = resid_theta[slot]
-        # G_a (G x K x V), as in the sparse half.
+        # G_a = (w theta_a^T (y / lam) - c_a) * basis_a (G x K x V) is the
+        # gradient with respect to log beta; eta's weighs it by x_a, and
+        # x_a's is <G_a, eta>.
         g_a = th_w.transpose(0, 2, 1) @ resid
+        g_a -= c[:, :, None]
         g_a *= basis
         g_flat = g_a.reshape(groups, k * num_terms)
-        grad_x = g_flat @ eta.ravel() - np.einsum("gk,kg->g", c, sums[:, :, 1])
-        terms = np.stack([np.ones(groups), x_batch]) @ g_flat
-        return value, (resid_theta, grad_x, terms.reshape(2, k, num_terms))
+        grad_eta = (x_batch @ g_flat).reshape(k, num_terms)
+        return (float(np.vdot(c, r)), part, resid_theta, g_flat @ eta.ravel(),
+                (g_a.sum(axis=0), grad_eta))
 
 
 def make_state(corpus, k, theta_init, beta_init, priors, rng):

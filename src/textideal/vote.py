@@ -80,7 +80,7 @@ class VoteModel:
         counts = np.bincount(self._j, minlength=votes.num_bills)
         self._indptr = np.concatenate([[0], np.cumsum(counts)])
 
-    def loglik(self, samples, bill_idx, want_grads=False):
+    def loglik(self, samples, bill_idx):
         x = samples["x"]
         alpha = samples["alpha"]
         eta = samples["eta"]
@@ -88,15 +88,12 @@ class VoteModel:
         i, j, v = self._i[sel], self._j[sel], self._v[sel]
         t = alpha[j] + x[i] * eta[j]
         value = float(-np.sum(np.logaddexp(0.0, -t * (2.0 * v - 1.0))))
-        grads = None
-        if want_grads:
-            g = v - sigmoid(t)
-            grads = {
-                "alpha": np.bincount(j, weights=g, minlength=alpha.shape[0]),
-                "eta": np.bincount(j, weights=g * x[i], minlength=eta.shape[0]),
-                "x": np.bincount(i, weights=g * eta[j], minlength=x.shape[0]),
-            }
-        return value, grads
+        g = v - sigmoid(t)
+        return value, {
+            "alpha": np.bincount(j, weights=g, minlength=alpha.shape[0]),
+            "eta": np.bincount(j, weights=g * x[i], minlength=eta.shape[0]),
+            "x": np.bincount(i, weights=g * eta[j], minlength=x.shape[0]),
+        }
 
 
 VoteFit = namedtuple("VoteFit", ["x_hat", "alpha_hat", "eta_hat", "elbo_trace"])

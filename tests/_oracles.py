@@ -212,16 +212,14 @@ def pf_objective(state, rows, cols, y):
     return value
 
 
-def tbip_loglik(counts, author_of, weights, samples, doc_idx, want_grads=False):
+def tbip_loglik(counts, author_of, weights, samples, doc_idx):
     """Minibatch TBIP log likelihood and gradients, one mask per author.
 
     `counts` is the dense D x V count matrix.
     """
     theta, beta, eta, x = (samples[k] for k in ("theta", "beta", "eta", "x"))
     value = 0.0
-    grads = None
-    if want_grads:
-        grads = {k: np.zeros_like(samples[k]) for k in ("theta", "beta", "eta", "x")}
+    grads = {k: np.zeros_like(samples[k]) for k in ("theta", "beta", "eta", "x")}
     batch_authors = author_of[doc_idx]
     for a in np.unique(batch_authors):
         docs = doc_idx[batch_authors == a]
@@ -232,13 +230,12 @@ def tbip_loglik(counts, author_of, weights, samples, doc_idx, want_grads=False):
         lam = w * (th @ basis)
         y = counts[docs]
         value += float(np.sum(y * np.log(lam)) - lam.sum() - np.sum(gammaln(y + 1.0)))
-        if want_grads:
-            resid = y / lam - 1.0
-            grads["theta"][docs] = w * (resid @ basis.T)
-            cross = th.T @ resid
-            grads["beta"] += w * cross * tilt
-            grads["eta"] += (w * x[a]) * cross * basis
-            grads["x"][a] = w * np.sum(cross * basis * eta)
+        resid = y / lam - 1.0
+        grads["theta"][docs] = w * (resid @ basis.T)
+        cross = th.T @ resid
+        grads["beta"] += w * cross * tilt
+        grads["eta"] += (w * x[a]) * cross * basis
+        grads["x"][a] = w * np.sum(cross * basis * eta)
     return value, grads
 
 
@@ -247,7 +244,7 @@ def vote_entry_indices(indptr, bill_idx):
     return np.concatenate([np.arange(indptr[b], indptr[b + 1]) for b in bill_idx])
 
 
-def wordfish_loglik(counts, samples, rows, want_grads=False):
+def wordfish_loglik(counts, samples, rows):
     """Wordfish log likelihood and gradients on one dense author-by-term
     count matrix, the single-model form of the stacked kernel."""
     alpha, psi, b, x = (samples[k] for k in ("alpha", "psi", "b", "x"))
@@ -255,15 +252,12 @@ def wordfish_loglik(counts, samples, rows, want_grads=False):
     t = alpha[rows, None] + psi[None, :] + np.outer(x[rows], b)
     lam = np.exp(t)
     value = float(np.sum(y * t - lam) - gammaln(counts + 1.0).sum(axis=1)[rows].sum())
-    grads = None
-    if want_grads:
-        g = y - lam
-        dalpha = np.zeros_like(alpha)
-        dx = np.zeros_like(x)
-        dalpha[rows] = g.sum(axis=1)
-        dx[rows] = g @ b
-        grads = {"alpha": dalpha, "psi": g.sum(axis=0), "b": g.T @ x[rows], "x": dx}
-    return value, grads
+    g = y - lam
+    dalpha = np.zeros_like(alpha)
+    dx = np.zeros_like(x)
+    dalpha[rows] = g.sum(axis=1)
+    dx[rows] = g @ b
+    return value, {"alpha": dalpha, "psi": g.sum(axis=0), "b": g.T @ x[rows], "x": dx}
 
 
 def wordfish_fit(counts, cfg, rng):
@@ -273,8 +267,8 @@ def wordfish_fit(counts, cfg, rng):
     class Model:
         num_items = counts.shape[0]
 
-        def loglik(self, samples, rows, want_grads=False):
-            return wordfish_loglik(counts, samples, rows, want_grads)
+        def loglik(self, samples, rows):
+            return wordfish_loglik(counts, samples, rows)
 
     num_authors, num_terms = counts.shape
     families = engine.gaussian_families(

@@ -297,12 +297,12 @@ class TestStackedStageOne:
         samples = {name: rng.standard_normal(size) for name, size in
                    [("alpha", num_authors), ("psi", num_terms), ("b", num_terms),
                     ("x", num_authors)]}
-        value, grads = model.loglik(samples, np.arange(num_authors), want_grads=True)
+        value, grads = model.loglik(samples, np.arange(num_authors))
         total = 0.0
         for counts, rows, terms in zip(blocks, model.author_slices, model.term_slices):
             part = {"alpha": samples["alpha"][rows], "psi": samples["psi"][terms],
                     "b": samples["b"][terms], "x": samples["x"][rows]}
-            v, g = wordfish_loglik(counts, part, np.arange(counts.shape[0]), want_grads=True)
+            v, g = wordfish_loglik(counts, part, np.arange(counts.shape[0]))
             total += v
             for name, sl in [("alpha", rows), ("psi", terms), ("b", terms), ("x", rows)]:
                 assert np.array_equal(grads[name][sl], g[name])

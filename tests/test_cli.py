@@ -223,6 +223,15 @@ class TestTrain:
         manifest = json.loads((tbip_fit_dir / "run_manifest.json").read_text())
         assert manifest["final_elbo"] is not None
 
+    def test_failed_rerun_leaves_no_manifest(self, valid_inputs, tmp_path):
+        out = tmp_path / "fit"
+        assert run(["train", "vote", "--data", valid_inputs["votes"], "--steps", "5",
+                    "--output-dir", out]) == 0
+        assert (out / "run_manifest.json").exists()
+        assert run(["train", "vote", "--data", tmp_path / "absent.csv", "--steps", "5",
+                    "--output-dir", out]) != 0
+        assert not (out / "run_manifest.json").exists()
+
     def test_rerun_same_seed_identical(self, synth_corpus_dir, tmp_path):
         args = ["train", "tbip", "--data", synth_corpus_dir, "--k", "2",
                 "--batch", "64", "--steps", "120", "--seed", "9",
@@ -619,6 +628,26 @@ class TestAnalyze:
                       synth_corpus_dir, "--output-dir", out, *flags])
         assert rc == 2
         assert str(wordfish_fit_dir) in caplog.text and "theta" in caplog.text
+        assert not (out / "run_manifest.json").exists()
+
+    def test_influence_whose_rate_overflows_exits_3(self, tmp_path, caplog, capsys):
+        """eta = 500 tilts the rate of the x = +2 author by exp(1000)."""
+        data, fit, out = tmp_path / "corpus", tmp_path / "fit", tmp_path / "inf"
+        data.mkdir()
+        (data / "vocabulary.txt").write_text("alpha\nbeta\n", encoding="utf-8")
+        (data / "authors.csv").write_text("doc_index,author_name\n0,left\n1,right\n",
+                                          encoding="utf-8")
+        (data / "counts.txt").write_text("0 0 2\n0 1 1\n1 0 1\n1 1 3\n", encoding="utf-8")
+        tbip.save_fit(tbip.FitResult(
+            theta_hat=np.ones((2, 1)), beta_hat=np.ones((1, 2)),
+            eta_hat=np.full((1, 2), 500.0), x_hat=np.array([-2.0, 2.0]), elbo_trace=[],
+            config={"model": "tbip", "seed": 0}, author_names=["left", "right"]), fit)
+        with caplog.at_level(logging.ERROR, logger="textideal"):
+            rc = run(["analyze", "influence", "--fit", fit, "--data", data,
+                      "--output-dir", out, "--doc", "1"])
+        assert rc == 3
+        assert "overflowed" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
         assert not (out / "run_manifest.json").exists()
 
     def test_influence_bad_doc_exits_2(self, tbip_fit_dir, synth_corpus_dir, tmp_path):

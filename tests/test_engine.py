@@ -55,9 +55,8 @@ class _NullModel:
 
     num_items = 1
 
-    def loglik(self, samples, batch, want_grads=False):
-        grads = {} if want_grads else None
-        return 0.0, grads
+    def loglik(self, samples, batch):
+        return 0.0, {}
 
 
 class TestEntropyAndPrior:
@@ -171,6 +170,43 @@ class TestElboEstimate:
             elbo_estimate(state, np.array([], dtype=int), model, 3,
                           state.sample_noise(rng))
 
+    @pytest.mark.parametrize("kind", ["tbip dense", "tbip sparse", "vote", "wordfish"])
+    def test_is_the_value_of_the_gradient_pass_bitwise(self, kind):
+        """`elbo_estimate` runs the model's one likelihood pass, so it
+        returns exactly `gradient`'s __elbo__ for the same draw."""
+        from unittest import mock
+
+        from textideal import tbip
+
+        rng = np.random.default_rng(21)
+        batches = [None]
+        if kind.startswith("tbip"):
+            state, model, _, rng = _poisson_state_and_model(seed=21, num_docs=8, num_authors=3)
+            with mock.patch.object(tbip, "_DENSE_SHARE", 0.0 if kind == "tbip dense" else np.inf):
+                model = tbip.TBIPModel(model.corpus, model.weights)
+            assert (model._dense is None) == (kind == "tbip sparse")
+            batches.append(np.array([5, 0, 3, 6]))
+        elif kind == "vote":
+            from textideal.synth import SynthSpec, sample_votes
+            from textideal.vote import VoteModel, make_state
+
+            votes, _ = sample_votes(SynthSpec(num_docs=30, num_terms=1, num_authors=8, seed=1))
+            state = make_state(votes.num_lawmakers, votes.num_bills, rng)
+            model = VoteModel(votes)
+            batches.append(np.array([17, 2, 9]))
+        else:
+            from textideal.baselines import WordfishModel, _StreamState
+
+            blocks = [rng.poisson(2.0, (5, 7)).astype(float), rng.poisson(1.0, (3, 4)).astype(float)]
+            model = WordfishModel(blocks)
+            state = _StreamState(model, [np.random.default_rng([21, j]) for j in range(2)])
+        for batch in batches:
+            batch = np.arange(model.num_items) if batch is None else batch
+            for _ in range(3):
+                noise = state.sample_noise(rng)
+                value = elbo_estimate(state, batch, model, model.num_items, noise)
+                assert value == gradient(state, batch, model, model.num_items, noise)["__elbo__"]
+
     def test_monte_carlo_standard_error_shrinks(self):
         state, model, corpus, rng = _poisson_state_and_model(seed=9)
         batch = np.arange(corpus.num_docs)
@@ -212,7 +248,7 @@ class TestGradient:
         noise = state.sample_noise(rng)
         noise["eta"][:] = 0.0  # forces the eta sample to exactly zero
         samples = {name: s for name, (_, s, _) in state.draw(noise).items()}
-        _, grads = model.loglik(samples, np.arange(corpus.num_docs), want_grads=True)
+        _, grads = model.loglik(samples, np.arange(corpus.num_docs))
         assert np.array_equal(grads["x"], np.zeros_like(grads["x"]))
 
     def test_total_smaller_than_batch_rejected(self):
@@ -257,8 +293,7 @@ class TestGradientMatchesSampleSpaceOracle:
             noise = state.sample_noise(rng)
             grads = gradient(state, batch, model, votes.num_bills, noise)
             expected = sample_space_gradient(
-                state, batch, lambda s, b: model.loglik(s, b, want_grads=True),
-                votes.num_bills, noise)
+                state, batch, model.loglik, votes.num_bills, noise)
             self._assert_bitwise(grads, expected)
 
     def test_stacked_wordfish_state_bitwise(self):
@@ -273,8 +308,7 @@ class TestGradientMatchesSampleSpaceOracle:
             noise = state.sample_noise(None)
             grads = gradient(state, batch, model, model.num_items, noise)
             expected = sample_space_gradient(
-                state, batch, lambda s, b: model.loglik(s, b, want_grads=True),
-                model.num_items, noise)
+                state, batch, model.loglik, model.num_items, noise)
             self._assert_bitwise(grads, expected)
 
     @pytest.mark.parametrize("seed, batch", [(11, None), (12, [2, 0]), (13, [1])])
@@ -287,8 +321,7 @@ class TestGradientMatchesSampleSpaceOracle:
             grads = gradient(state, batch, model, corpus.num_docs, noise)
             expected = sample_space_gradient(
                 state, batch,
-                lambda s, b: tbip_loglik(dense, corpus.author_of, model.weights, s, b,
-                                         want_grads=True),
+                lambda s, b: tbip_loglik(dense, corpus.author_of, model.weights, s, b),
                 corpus.num_docs, noise)
             assert set(grads) == set(expected)
             for key, exp in expected.items():
@@ -402,13 +435,11 @@ class _RecordingModel:
         self.num_items = num_items
         self.batches = []
 
-    def loglik(self, samples, batch, want_grads=False):
+    def loglik(self, samples, batch):
         self.batches.append(np.array(batch))
         x = samples["x"][batch]
-        grads = None
-        if want_grads:
-            grads = {"x": np.zeros(self.num_items)}
-            grads["x"][batch] = -x
+        grads = {"x": np.zeros(self.num_items)}
+        grads["x"][batch] = -x
         return float(-0.5 * np.sum(x * x)), grads
 
 
@@ -473,10 +504,9 @@ class TestFitLoop:
         class ExplodingModel:
             num_items = 1
 
-            def loglik(self, samples, batch, want_grads=False):
+            def loglik(self, samples, batch):
                 value = float(np.exp(samples["x"][0]))  # overflows at x ~ 800
-                grads = {"x": np.array([value])} if want_grads else None
-                return value, grads
+                return value, {"x": np.array([value])}
 
         with pytest.raises(engine.NonFiniteElbo) as err:
             engine.fit(state, ExplodingModel(), TrainConfig(max_steps=5, batch_size=1),

@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
 from _oracles import tbip_loglik
@@ -104,6 +105,28 @@ def _assert_close_rel(got, expected, rtol=1e-12):
     assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
 
 
+def _check_both_layouts(corpus, dense, weights, samples, doc_idx):
+    """Value and every gradient of both layouts within 1e-12 of the loop
+    oracle."""
+    doc_idx = np.asarray(doc_idx)
+    exp_value, exp_grads = tbip_loglik(dense, corpus.author_of, weights, samples, doc_idx)
+    # theta and beta gradients are with respect to their logs: the oracle's
+    # sample-space gradient times the sample.
+    for name in ("theta", "beta"):
+        exp_grads[name] = exp_grads[name] * samples[name]
+    # Both layouts: the corpus read as dense rows, and as one block per
+    # author over the terms its batch documents use.
+    for dense_share in (0.0, np.inf):
+        with mock.patch.object(tbip, "_DENSE_SHARE", dense_share):
+            model = TBIPModel(corpus, weights)
+            assert (model._dense is None) == (dense_share == np.inf)
+            value, grads = model.loglik(samples, doc_idx)
+            _assert_close_rel(value, exp_value)
+            assert set(grads) == set(exp_grads)
+            for name in exp_grads:
+                _assert_close_rel(grads[name], exp_grads[name])
+
+
 class TestLoglikMatchesLoopOracle:
     """The structured kernel (mass from per-author sums over vocabulary
     tiles, y / lambda over each author's used columns) against the
@@ -130,28 +153,7 @@ class TestLoglikMatchesLoopOracle:
         weights = compute_weights(corpus)
         return corpus, dense, weights, samples
 
-    def _check(self, corpus, dense, weights, samples, doc_idx):
-        doc_idx = np.asarray(doc_idx)
-        exp_value, exp_grads = tbip_loglik(dense, corpus.author_of, weights, samples,
-                                           doc_idx, want_grads=True)
-        # theta and beta gradients are with respect to their logs: the
-        # oracle's sample-space gradient times the sample.
-        for name in ("theta", "beta"):
-            exp_grads[name] = exp_grads[name] * samples[name]
-        # Both layouts: the corpus read as dense rows, and as one block per
-        # author over the terms its batch documents use.
-        for dense_share in (0.0, np.inf):
-            with mock.patch.object(tbip, "_DENSE_SHARE", dense_share):
-                model = TBIPModel(corpus, weights)
-                assert (model._dense is None) == (dense_share == np.inf)
-                value, grads = model.loglik(samples, doc_idx, want_grads=True)
-                _assert_close_rel(value, exp_value)
-                assert set(grads) == set(exp_grads)
-                for name in exp_grads:
-                    _assert_close_rel(grads[name], exp_grads[name])
-                value_only, none = model.loglik(samples, doc_idx, want_grads=False)
-                assert none is None
-                assert value_only == value
+    _check = staticmethod(_check_both_layouts)
 
     def test_single_author_batch(self):
         corpus, dense, weights, samples = self._setup(0)
@@ -222,13 +224,51 @@ class TestLoglikMatchesLoopOracle:
         corpus, dense, weights, samples = self._setup(10, empty_doc=0, num_docs=20, k=1)
         self._check(corpus, dense, weights, samples, [0, 4, 9, 2, 13, 7, 18])
 
-    def test_value_only_matches_oracle(self):
-        corpus, dense, weights, samples = self._setup(5)
-        docs = np.arange(corpus.num_docs)
-        value, grads = TBIPModel(corpus, weights).loglik(samples, docs, want_grads=False)
-        assert grads is None
-        _assert_close_rel(value, tbip_loglik(dense, corpus.author_of, weights, samples,
-                                             docs)[0])
+
+@st.composite
+def _loglik_cases(draw):
+    """A small corpus on either side of _DENSE_SHARE, possibly skewed to one
+    author and with empty documents, plus samples, weights, a batch (at
+    times from one author only) and a vocabulary tile size."""
+    num_docs = draw(st.integers(1, 16))
+    num_terms = draw(st.integers(1, 12))
+    num_authors = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    density = draw(st.sampled_from([0.05, 0.15, 0.4, 1.0]))
+    # The share of documents that go to author 0; the rest are uniform.
+    skew = draw(st.sampled_from([0.0, 0.6, 0.95]))
+    empty = draw(st.lists(st.integers(0, num_docs - 1), max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    author_of = np.where(rng.random(num_docs) < skew, 0, rng.integers(0, num_authors, num_docs))
+    dense = rng.poisson(1.5, (num_docs, num_terms)) + 1.0
+    dense[rng.random((num_docs, num_terms)) >= density] = 0.0
+    dense[empty] = 0.0
+    corpus = SparseCorpus(sp.csr_matrix(dense), author_of,
+                          [f"a{i}" for i in range(num_authors)])
+    pool = np.arange(num_docs)
+    if draw(st.booleans()):
+        pool = np.flatnonzero(author_of == author_of[0])
+    batch = rng.permutation(pool)[: draw(st.integers(1, pool.size))]
+    samples = {
+        "theta": rng.gamma(1.0, 1.0, (num_docs, k)) + 0.05,
+        "beta": rng.gamma(1.0, 1.0, (k, num_terms)) + 0.05,
+        "eta": rng.normal(0.0, 0.7, (k, num_terms)),
+        "x": rng.normal(0.0, 1.0, num_authors),
+    }
+    weights = rng.uniform(0.5, 2.0, num_authors)
+    tile_cells = draw(st.sampled_from([1, 5, 24, tbip._TILE_CELLS]))
+    return corpus, dense, weights, samples, batch, tile_cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_loglik_cases())
+def test_both_layouts_match_loop_oracle_on_drawn_corpora(case):
+    corpus, dense, weights, samples, batch, tile_cells = case
+    # The layout the corpus's own density picks, then both of them.
+    sparse = corpus.counts.nnz < tbip._DENSE_SHARE * corpus.num_docs * corpus.num_terms
+    assert (TBIPModel(corpus, weights)._dense is None) == sparse
+    with mock.patch.object(tbip, "_TILE_CELLS", tile_cells):
+        _check_both_layouts(corpus, dense, weights, samples, batch)
 
 
 def test_loglik_peak_memory_below_dense_batch():
@@ -249,7 +289,7 @@ def test_loglik_peak_memory_below_dense_batch():
     model = TBIPModel(corpus, compute_weights(corpus))
     tracemalloc.start()
     try:
-        model.loglik(samples, np.arange(num_docs), want_grads=True)
+        model.loglik(samples, np.arange(num_docs))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
