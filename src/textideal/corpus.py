@@ -15,12 +15,14 @@ import json
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import re
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import gammaln
 
 from .fitio import load_named_values, open_text, read_keyed_rows, save_named_values
 
@@ -162,6 +164,12 @@ class SparseCorpus:
     def doc_totals(self):
         """Total token count per document."""
         return np.asarray(self.counts.sum(axis=1)).ravel()
+
+    @cached_property
+    def log_factorial_sum(self):
+        """Sum of log(y!) over the stored counts, a constant of every Poisson
+        likelihood on this corpus."""
+        return np.sum(gammaln(self.counts.data + 1.0))
 
 
 def _words(text, stopwords):

@@ -142,7 +142,12 @@ class NormalPrior:
 
 
 class VariationalState:
-    """Named mean-field factors paired with their priors."""
+    """Named mean-field factors paired with their priors.
+
+    The state owns one float64 buffer, `flat`, holding every factor's mu
+    and log_sigma back to back in `parameters()` order. Each family's `mu`
+    and `log_sigma` are views into it, so one Adam update covers them all.
+    """
 
     def __init__(self, families, priors):
         if set(families) != set(priors):
@@ -150,6 +155,22 @@ class VariationalState:
         self.families = dict(families)
         self.priors = dict(priors)
         self.names = list(families)
+        params = self.parameters()
+        self._shapes = [(key, p.shape) for key, p in params.items()]
+        self.flat = np.concatenate([p.ravel() for p in params.values()])
+        views = self.views(self.flat)
+        for name, fam in self.families.items():
+            fam.mu, fam.log_sigma = views[f"{name}.mu"], views[f"{name}.log_sigma"]
+
+    def views(self, buf):
+        """{'<name>.mu' / '<name>.log_sigma': view} into `buf`, laid out like `flat`."""
+        out = {}
+        start = 0
+        for key, shape in self._shapes:
+            stop = start + math.prod(shape)
+            out[key] = buf[start:stop].reshape(shape)
+            start = stop
+        return out
 
     def sample_noise(self, rng):
         """One standard-normal draw per factor, shaped like its parameters."""
@@ -171,10 +192,12 @@ class VariationalState:
         return params
 
     def set_parameters(self, params):
-        """Copy in '<name>.mu' / '<name>.log_sigma' arrays, as `Family` does."""
-        for name, fam in self.families.items():
-            fam.mu = np.array(params[f"{name}.mu"], dtype=np.float64)
-            fam.log_sigma = np.array(params[f"{name}.log_sigma"], dtype=np.float64)
+        """Copy '<name>.mu' / '<name>.log_sigma' arrays into the live views."""
+        for key, view in self.parameters().items():
+            value = np.asarray(params[key], dtype=np.float64)
+            if value.shape != view.shape:
+                raise ValueError(f"{key} has shape {value.shape}, expected {view.shape}")
+            view[...] = value
 
     def posterior_means(self):
         return {name: fam.posterior_mean() for name, fam in self.families.items()}
@@ -208,22 +231,32 @@ def elbo_estimate(state, batch, model, num_items, noise):
     return _estimate(state, batch, model, num_items, noise)[0]
 
 
-def gradient(state, batch, model, num_items, noise):
+def gradient(state, batch, model, num_items, noise, out=None):
     """Exact gradient of `elbo_estimate` with the noise draw held fixed.
 
     Returns {'<name>.mu': g, '<name>.log_sigma': g} plus the estimate itself
-    under the key '__elbo__' (computed from the same pass).
+    under the key '__elbo__' (computed from the same pass). The gradients
+    are views into `out`, a buffer laid out like `state.flat`; a fresh one
+    is allocated when `out` is None.
     """
     value, draws, lik_grads, scale = _estimate(state, batch, model, num_items, noise)
-    grads = {"__elbo__": value}
+    if out is None:
+        out = np.empty_like(state.flat)
+    grads = state.views(out)
     for name, (_, s, sigma) in draws.items():
-        du = state.priors[name].dlog_prob(s)
+        g_mu = grads[f"{name}.mu"]
+        g_log_sigma = grads[f"{name}.log_sigma"]
         g = lik_grads.get(name)
-        if g is not None:
-            du = du + scale * g
+        if g is None:
+            g_mu[...] = state.priors[name].dlog_prob(s)
+        else:
+            np.multiply(g, scale, out=g_mu)
+            g_mu += state.priors[name].dlog_prob(s)
         # u = mu + sigma * z, and log q contributes -d log_sigma = +1.
-        grads[f"{name}.mu"] = du
-        grads[f"{name}.log_sigma"] = du * (noise[name] * sigma) + 1.0
+        np.multiply(noise[name], sigma, out=g_log_sigma)
+        g_log_sigma *= g_mu
+        g_log_sigma += 1.0
+    grads["__elbo__"] = value
     return grads
 
 
@@ -251,7 +284,8 @@ class AdamState:
 def adam_step(adam, params, grads):
     """One bias-corrected Adam ascent step in place; returns `params`.
 
-    Moment accumulators live in `adam`, keyed like `params`.
+    Moment accumulators live in `adam`, keyed like `params`. Two scratch
+    arrays per key hold every intermediate.
     """
     adam.t += 1
     c1 = 1.0 - _BETA1**adam.t
@@ -262,11 +296,20 @@ def adam_step(adam, params, grads):
             adam.m[key] = np.zeros_like(p)
             adam.v[key] = np.zeros_like(p)
         m, v = adam.m[key], adam.v[key]
+        step = np.multiply(g, 1.0 - _BETA1)
         m *= _BETA1
-        m += (1.0 - _BETA1) * g
+        m += step
+        np.multiply(g, 1.0 - _BETA2, out=step)
+        step *= g
         v *= _BETA2
-        v += (1.0 - _BETA2) * g * g
-        p += adam.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
+        v += step
+        denom = np.divide(v, c2)
+        np.sqrt(denom, out=denom)
+        denom += _EPS
+        np.divide(m, c1, out=step)
+        step *= adam.lr
+        step /= denom
+        p += step
     return params
 
 
@@ -313,8 +356,17 @@ def fit(state, model, cfg, rng):
     model.num_items every step uses the full batch in index order, so runs
     are bitwise reproducible for a fixed seed. The trace holds (step,
     estimate) pairs every `elbo_report_interval` steps.
+
+    Gradients go into one flat buffer laid out like `state.flat` (draws
+    after the first into a second one, summed in draw order), and each
+    step is a single `adam_step` over `state.flat`, so Adam's moments are
+    flat too.
     """
     adam = AdamState(cfg.lr)
+    params = {"flat": state.flat}
+    total = np.empty_like(state.flat)
+    grads = {"flat": total}
+    extra = np.empty_like(state.flat) if cfg.mc_samples > 1 else None
     num_items = model.num_items
     full_batch = cfg.batch_size >= num_items
     fixed = np.arange(num_items)
@@ -322,22 +374,20 @@ def fit(state, model, cfg, rng):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(1, cfg.max_steps + 1):
             batch = fixed if full_batch else rng.choice(num_items, cfg.batch_size, replace=False)
-            total = None
-            for _ in range(cfg.mc_samples):
+            noise = state.sample_noise(rng)
+            value = gradient(state, batch, model, num_items, noise, out=total)["__elbo__"]
+            for _ in range(1, cfg.mc_samples):
                 noise = state.sample_noise(rng)
-                grads = gradient(state, batch, model, num_items, noise)
-                if total is None:
-                    total = grads
-                else:
-                    for key, g in grads.items():
-                        total[key] = total[key] + g
+                draw = gradient(state, batch, model, num_items, noise, out=extra)
+                value = value + draw["__elbo__"]
+                total += extra
             if cfg.mc_samples > 1:
-                for key in total:
-                    total[key] = total[key] / cfg.mc_samples
-            value = float(total.pop("__elbo__"))
+                value = value / cfg.mc_samples
+                total /= cfg.mc_samples
+            value = float(value)
             if not math.isfinite(value):
                 raise NonFiniteElbo(step, value)
-            adam_step(adam, state.parameters(), total)
+            adam_step(adam, params, grads)
             if step == 1 or step % cfg.elbo_report_interval == 0 or step == cfg.max_steps:
                 trace.append((step, value))
     return trace

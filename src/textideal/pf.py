@@ -53,9 +53,6 @@ class GammaFamily:
     def mean(self):
         return self.shape / self.rate
 
-    def expected_log(self):
-        return digamma(self.shape) - np.log(self.rate)
-
 
 @dataclass
 class PFState:
@@ -71,10 +68,20 @@ class PFState:
     prior_rate: float
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def expected_log_parts(self):
+        """(digamma(shape), log(rate)) of q_theta and of q_beta.
+
+        E[log] is their difference, cached here for `expected_logs`; the
+        parts themselves are not kept, since only `pf_elbo` reads them.
+        """
+        parts = [(digamma(fam.shape), np.log(fam.rate)) for fam in (self.q_theta, self.q_beta)]
+        self._cache.setdefault("elogs", tuple(dg - log_rate for dg, log_rate in parts))
+        return parts
+
     def expected_logs(self):
         """(E[log theta] as D x K, E[log beta] as K x V)."""
         if "elogs" not in self._cache:
-            self._cache["elogs"] = (self.q_theta.expected_log(), self.q_beta.expected_log())
+            self.expected_log_parts()
         return self._cache["elogs"]
 
     def phi_sums(self, corpus):
@@ -194,16 +201,11 @@ def cavi_step(state, corpus):
     return PFState(q_theta, q_beta, a, b)
 
 
-def _gamma_prior_entropy(fam, elog, a, b):
+def _gamma_prior_entropy(fam, elog, dg, log_rate, a, b):
     """E_q[log p] + H(q) summed over one block of Gamma factors, given
-    elog = fam.expected_log()."""
+    `PFState.expected_log_parts` (dg, log_rate) and elog = dg - log_rate."""
     prior = np.sum(a * np.log(b) - gammaln(a) + (a - 1.0) * elog - b * fam.mean())
-    entropy = np.sum(
-        fam.shape
-        - np.log(fam.rate)
-        + gammaln(fam.shape)
-        + (1.0 - fam.shape) * digamma(fam.shape)
-    )
+    entropy = np.sum(fam.shape - log_rate + gammaln(fam.shape) + (1.0 - fam.shape) * dg)
     return float(prior + entropy)
 
 
@@ -211,16 +213,19 @@ def pf_elbo(state, corpus):
     """Augmented-model objective with responsibilities at their optimum."""
     y = corpus.counts.data
     a, b = state.prior_shape, state.prior_rate
-    elog_theta, elog_beta = state.expected_logs()
-    value = _gamma_prior_entropy(state.q_theta, elog_theta, a, b)
-    value += _gamma_prior_entropy(state.q_beta, elog_beta, a, b)
+    parts = state.expected_log_parts()
+    value = 0.0
+    for fam, elog, (dg, log_rate) in zip(
+        (state.q_theta, state.q_beta), state.expected_logs(), parts
+    ):
+        value += _gamma_prior_entropy(fam, elog, dg, log_rate, a, b)
     # Expected rate over all cells factorizes across topics.
     value -= float(
         state.q_theta.mean().sum(axis=0) @ state.q_beta.mean().sum(axis=1)
     )
     if len(y):
         _, _, log_norm = state.phi_sums(corpus)
-        value += float(np.sum(y * log_norm) - np.sum(gammaln(y + 1.0)))
+        value += float(np.sum(y * log_norm) - corpus.log_factorial_sum)
     return value
 
 

@@ -14,7 +14,6 @@ from collections import namedtuple
 import numpy as np
 
 from . import engine
-from .corpus import take_rows
 from .engine import NormalPrior, VariationalState, gaussian_families
 from .fitio import open_text
 
@@ -68,31 +67,59 @@ class VoteMatrix:
 
 
 class VoteModel:
-    """Bernoulli likelihood over vote entries; items are bills."""
+    """Bernoulli likelihood over recorded votes; items are bills.
+
+    Votes are held dense, bills x lawmakers: `_sign` is s = 2v - 1 on a
+    recorded cell and 0 elsewhere, `_mask` is 1 on a recorded cell, and
+    `_yea` is v (0 where unrecorded). Every cell of a batch bill's row is
+    computed and the unrecorded ones are masked out, so a step costs
+    (batch bills x lawmakers) whether the matrix is fully or partly
+    recorded.
+    """
 
     def __init__(self, votes):
         self.votes = votes
         self.num_items = votes.num_bills
-        order = np.argsort(votes.bill_idx, kind="stable")
-        self._i = votes.lawmaker_idx[order]
-        self._j = votes.bill_idx[order]
-        self._v = votes.votes[order].astype(np.float64)
-        counts = np.bincount(self._j, minlength=votes.num_bills)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)])
+        cells = (votes.bill_idx, votes.lawmaker_idx)
+        shape = (votes.num_bills, votes.num_lawmakers)
+        self._yea = np.zeros(shape)
+        self._yea[cells] = votes.votes
+        self._mask = np.zeros(shape)
+        self._mask[cells] = 1.0
+        self._sign = 2.0 * self._yea - self._mask
 
     def loglik(self, samples, bill_idx):
+        """log p(votes on the batch's bills) and its gradients.
+
+        With t = alpha_j + eta_j * x_i and q = exp(-|t|), a recorded cell
+        adds -log(1 + exp(-s t)) = min(s t, 0) - log1p(q), and its
+        d/dt = v - sigmoid(t), with sigmoid(t) = 1 / (1 + q) for t >= 0 and
+        q / (1 + q) below.
+        """
         x = samples["x"]
-        alpha = samples["alpha"]
-        eta = samples["eta"]
-        _, sel = take_rows(self._indptr, bill_idx)
-        i, j, v = self._i[sel], self._j[sel], self._v[sel]
-        t = alpha[j] + x[i] * eta[j]
-        value = float(-np.sum(np.logaddexp(0.0, -t * (2.0 * v - 1.0))))
-        g = v - sigmoid(t)
+        # t = [alpha_J, eta_J] @ [1; x]; the transposed product then gives
+        # the row sums and g @ x at once.
+        coef = np.stack((samples["alpha"][bill_idx], samples["eta"][bill_idx]), axis=1)
+        basis = np.stack((np.ones_like(x), x))
+        t = coef @ basis
+        mask = self._mask[bill_idx]
+        q = np.abs(t)
+        np.negative(q, out=q)
+        np.exp(q, out=q)
+        margin = t * self._sign[bill_idx]
+        np.minimum(margin, 0.0, out=margin)
+        value = float(margin.sum()) - float(np.vdot(mask, np.log1p(q)))
+        sig = np.where(t >= 0, 1.0, q)
+        q += 1.0
+        sig /= q
+        sig *= mask
+        g = self._yea[bill_idx] - sig
+        bill_grads = g @ basis.T
+        n = self.num_items
         return value, {
-            "alpha": np.bincount(j, weights=g, minlength=alpha.shape[0]),
-            "eta": np.bincount(j, weights=g * x[i], minlength=eta.shape[0]),
-            "x": np.bincount(i, weights=g * eta[j], minlength=x.shape[0]),
+            "alpha": np.bincount(bill_idx, weights=bill_grads[:, 0], minlength=n),
+            "eta": np.bincount(bill_idx, weights=bill_grads[:, 1], minlength=n),
+            "x": coef[:, 1] @ g,
         }
 
 

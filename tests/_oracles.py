@@ -3,9 +3,11 @@
 Everything here is computed without touching the code paths under test:
 quadrature instead of Monte Carlo, direct density formulas instead of the
 library's family classes, the sample-space form of the engine's gradient,
-and the straightforward loop forms of the fast kernels (one bincount per topic, scipy's logsumexp, one mask per author,
-one arange per bill, one engine run per wordfish debate, one dict update
-per n-gram in preprocessing, one write per counts line).
+and the straightforward loop forms of the fast kernels (one bincount per
+topic, scipy's logsumexp, one mask per author, one arange per bill, one
+loop step per recorded vote, one gradient array and one Adam update per
+parameter array, one engine run per wordfish debate, one dict update per
+n-gram in preprocessing, one write per counts line).
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import digamma, gammaln, logsumexp
+from scipy.special import digamma, expit, gammaln, logsumexp
 
 from textideal.corpus import _TOKEN_RE, AllDocumentsFiltered, SparseCorpus, Vocabulary
 
@@ -152,6 +154,59 @@ def sample_space_gradient(state, batch, loglik, num_items, noise):
     return grads
 
 
+def _per_array_gradient(state, batch, model, num_items, noise):
+    """The objective estimate and one new gradient array per parameter array."""
+    draws = state.draw(noise)
+    log_prior = log_q = 0
+    for name, (u, s, sigma) in draws.items():
+        log_prior += state.priors[name].log_prob(u, s)
+        log_q += state.families[name].log_density(u, sigma)
+    loglik, lik_grads = model.loglik({name: s for name, (_, s, _) in draws.items()}, batch)
+    scale = num_items / batch.size
+    grads = {"__elbo__": log_prior + scale * loglik - log_q}
+    for name, (_, s, sigma) in draws.items():
+        du = state.priors[name].dlog_prob(s)
+        if name in lik_grads:
+            du = du + scale * lik_grads[name]
+        grads[f"{name}.mu"] = du
+        grads[f"{name}.log_sigma"] = du * (noise[name] * sigma) + 1.0
+    return grads
+
+
+def per_array_fit(state, model, cfg, rng):
+    """`engine.fit` with a gradient dict per draw, draws summed key by key,
+    and one Adam update with its own moments per parameter array."""
+    params = state.parameters()
+    m = {key: np.zeros_like(p) for key, p in params.items()}
+    v = {key: np.zeros_like(p) for key, p in params.items()}
+    num_items = model.num_items
+    fixed = np.arange(num_items)
+    trace = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(1, cfg.max_steps + 1):
+            if cfg.batch_size >= num_items:
+                batch = fixed
+            else:
+                batch = rng.choice(num_items, cfg.batch_size, replace=False)
+            total = None
+            for _ in range(cfg.mc_samples):
+                grads = _per_array_gradient(state, batch, model, num_items,
+                                            state.sample_noise(rng))
+                total = grads if total is None else {k: total[k] + g for k, g in grads.items()}
+            if cfg.mc_samples > 1:
+                total = {k: g / cfg.mc_samples for k, g in total.items()}
+            value = float(total.pop("__elbo__"))
+            c1, c2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+            for key, p in params.items():
+                g = total[key]
+                m[key] = 0.9 * m[key] + (1.0 - 0.9) * g
+                v[key] = 0.999 * v[key] + (1.0 - 0.999) * g * g
+                p += cfg.lr * (m[key] / c1) / (np.sqrt(v[key] / c2) + 1e-8)
+            if step == 1 or step % cfg.elbo_report_interval == 0 or step == cfg.max_steps:
+                trace.append((step, value))
+    return trace
+
+
 def _expected_logs(state):
     return (digamma(state.q_theta.shape) - np.log(state.q_theta.rate),
             digamma(state.q_beta.shape) - np.log(state.q_beta.rate))
@@ -242,6 +297,29 @@ def tbip_loglik(counts, author_of, weights, samples, doc_idx):
 def vote_entry_indices(indptr, bill_idx):
     """Entry positions of the batch's bills, one arange per bill."""
     return np.concatenate([np.arange(indptr[b], indptr[b + 1]) for b in bill_idx])
+
+
+def vote_loglik(votes, samples, bill_idx):
+    """Vote log likelihood and gradients, one recorded vote at a time.
+
+    Each of the batch's bills (repeats counted again) adds its recorded
+    votes' -log(1 + exp(-(2v - 1) t)) through np.logaddexp, with
+    d/dt = v - expit(t).
+    """
+    x, alpha, eta = samples["x"], samples["alpha"], samples["eta"]
+    grads = {name: np.zeros_like(samples[name]) for name in ("x", "alpha", "eta")}
+    value = 0.0
+    for j in bill_idx:
+        for i, b, v in zip(votes.lawmaker_idx, votes.bill_idx, votes.votes):
+            if b != j:
+                continue
+            t = alpha[j] + eta[j] * x[i]
+            value -= float(np.logaddexp(0.0, -(2.0 * v - 1.0) * t))
+            g = v - float(expit(t))
+            grads["alpha"][j] += g
+            grads["eta"][j] += g * x[i]
+            grads["x"][i] += g * eta[j]
+    return value, grads
 
 
 def wordfish_loglik(counts, samples, rows):

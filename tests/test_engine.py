@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import gamma_log_prob, quadrature_elbo, sample_space_gradient, tbip_loglik
+from _oracles import (
+    gamma_log_prob,
+    per_array_fit,
+    quadrature_elbo,
+    sample_space_gradient,
+    tbip_loglik,
+)
 from textideal import engine
 from textideal.engine import (
     AdamState,
@@ -395,6 +401,73 @@ class TestAdam:
             assert np.array_equal(params["w"], p)
         assert params["w"] is live  # updated in place, not replaced
         assert np.array_equal(adam.m["w"], m) and np.array_equal(adam.v["w"], v)
+
+
+class TestFlatParameters:
+    @staticmethod
+    def _assert_views_of_flat(state):
+        for name, fam in state.families.items():
+            assert np.shares_memory(fam.mu, state.flat), name
+            assert np.shares_memory(fam.log_sigma, state.flat), name
+
+    def test_families_are_views_of_flat_buffer(self):
+        state, _, _, _ = _poisson_state_and_model(seed=3)
+        self._assert_views_of_flat(state)
+        assert state.flat.size == sum(p.size for p in state.parameters().values())
+        params = {k: p + 1.0 for k, p in state.parameters().items()}
+        state.set_parameters(params)
+        self._assert_views_of_flat(state)
+        for key, p in state.parameters().items():
+            assert np.array_equal(p, params[key]), key
+        assert np.array_equal(
+            state.flat, np.concatenate([p.ravel() for p in params.values()]))
+
+    def test_set_parameters_rejects_a_wrong_shape(self):
+        state = VariationalState({"x": Family(np.zeros(3), np.zeros(3))},
+                                 {"x": NormalPrior(1.0)})
+        with pytest.raises(ValueError, match="x.mu"):
+            state.set_parameters({"x.mu": np.zeros(4), "x.log_sigma": np.zeros(3)})
+
+    def test_gradient_calls_do_not_alias(self):
+        state, model, corpus, rng = _poisson_state_and_model(seed=4)
+        batch = np.arange(corpus.num_docs)
+        first = gradient(state, batch, model, corpus.num_docs, state.sample_noise(rng))
+        kept = {k: np.copy(g) for k, g in first.items()}
+        second = gradient(state, batch, model, corpus.num_docs, state.sample_noise(rng))
+        for key, g in first.items():
+            if key == "__elbo__":
+                continue
+            assert not np.shares_memory(g, second[key]), key
+            assert not np.shares_memory(g, state.flat), key
+            assert np.array_equal(g, kept[key]), key
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_fit_is_bitwise_the_per_array_loop(self, dense, monkeypatch):
+        """Desk-sized TBIP (D=1000, V=300, K=5), two draws a step,
+        minibatches: one flat Adam update equals one per parameter array."""
+        from textideal import synth, tbip
+        from textideal.corpus import compute_weights
+
+        if not dense:
+            monkeypatch.setattr(tbip, "_DENSE_SHARE", 2.0)
+        corpus, _ = synth.sample_tbip(synth.SynthSpec(
+            num_docs=1000, num_terms=300, num_authors=20, num_topics=5, seed=0))
+        init = np.random.default_rng(5)
+        theta0 = init.gamma(1.0, 1.0, size=(corpus.num_docs, 5)) + 0.2
+        beta0 = init.gamma(1.0, 1.0, size=(5, corpus.num_terms)) + 0.2
+        cfg = TrainConfig(k=5, batch_size=512, max_steps=12, mc_samples=2, lr=0.01,
+                          elbo_report_interval=5)
+        model = tbip.TBIPModel(corpus, compute_weights(corpus))
+        assert (model._dense is not None) == dense
+        fits = []
+        for run in (engine.fit, per_array_fit):
+            rng = np.random.default_rng(9)
+            state = tbip.make_state(corpus, 5, theta0, beta0, tbip.PriorConfig(), rng)
+            fits.append((run(state, model, cfg, rng), state.parameters()))
+        (trace, params), (want_trace, want_params) = fits
+        assert trace == want_trace
+        for key, p in params.items():
+            assert np.array_equal(p, want_params[key]), key
 
 
 class TestElboUnbiasedness:

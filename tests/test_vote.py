@@ -3,9 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from _oracles import vote_entry_indices
+from _oracles import vote_entry_indices, vote_loglik
 from textideal import engine
 from textideal.corpus import take_rows
 from textideal.synth import SynthSpec, sample_votes
@@ -160,19 +160,71 @@ def _votes_per_bill_and_batch(draw):
 
 class TestEntryGather:
     @settings(max_examples=100, deadline=None)
-    @given(_votes_per_bill_and_batch(), st.randoms(use_true_random=False))
-    def test_matches_one_arange_per_bill(self, case, rnd):
+    @given(_votes_per_bill_and_batch())
+    def test_matches_one_arange_per_bill(self, case):
         per_bill, batch = case
-        bills = [b for b, n in enumerate(per_bill) for _ in range(n)]
-        rnd.shuffle(bills)  # the model sorts entries by bill itself
-        lawmakers = [bills[:k].count(b) for k, b in enumerate(bills)]
-        model = VoteModel(VoteMatrix(lawmakers, bills, [k % 2 for k in range(len(bills))],
-                                     [f"l{i}" for i in range(max(per_bill))],
-                                     [f"b{j}" for j in range(len(per_bill))]))
-        expected = vote_entry_indices(model._indptr, batch)
-        _, got = take_rows(model._indptr, batch)
+        # Row pointer of entries sorted by bill.
+        bills = np.repeat(np.arange(len(per_bill)), per_bill)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(bills, minlength=len(per_bill)))])
+        expected = vote_entry_indices(indptr, batch)
+        _, got = take_rows(indptr, batch)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+
+
+# Up to 6 lawmakers x 8 bills; each cell unrecorded (None), nay or yea.
+@st.composite
+def _vote_model_case(draw):
+    num_lawmakers = draw(st.integers(1, 6))
+    num_bills = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.sampled_from([None, 0, 1]), min_size=num_lawmakers * num_bills,
+                          max_size=num_lawmakers * num_bills))
+    batch = draw(st.permutations(range(num_bills)))[:draw(st.integers(1, num_bills))]
+    # |alpha| + |eta x| reaches about 700, where exp(-|t|) is still normal.
+    alpha = draw(st.lists(st.floats(-100, 100), min_size=num_bills, max_size=num_bills))
+    eta = draw(st.lists(st.floats(-20, 20), min_size=num_bills, max_size=num_bills))
+    x = draw(st.lists(st.floats(-30, 30), min_size=num_lawmakers, max_size=num_lawmakers))
+    return cells, num_lawmakers, batch, alpha, eta, x
+
+
+def _vote_model(cells, num_lawmakers):
+    recorded = [(k % num_lawmakers, k // num_lawmakers, v)
+                for k, v in enumerate(cells) if v is not None]
+    num_bills = len(cells) // num_lawmakers
+    return VoteMatrix([r[0] for r in recorded], [r[1] for r in recorded],
+                      [r[2] for r in recorded], [f"l{i}" for i in range(num_lawmakers)],
+                      [f"b{j}" for j in range(num_bills)])
+
+
+class TestVoteLoglikOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_vote_model_case())
+    # Lawmaker 1 and bills 0 and 1 have a single recorded vote each; one-bill
+    # batches; |t| from 500 to 700 on both sides of 0.
+    @example(([1, None, 0, None, 1, 0], 2, [1], [100.0, -60.0, 2.0], [20.0, 20.0, 1.0],
+              [-30.0, 30.0]))
+    @example(([0, 1, 1, 0], 4, [0], [-100.0], [-20.0], [30.0, -30.0, 0.0, 1e-3]))
+    def test_value_and_gradients_match_per_vote_loop(self, case):
+        cells, num_lawmakers, batch, alpha, eta, x = case
+        votes = _vote_model(cells, num_lawmakers)
+        samples = {"alpha": np.array(alpha), "eta": np.array(eta), "x": np.array(x)}
+        batch = np.array(batch, dtype=np.int64)
+        value, grads = VoteModel(votes).loglik(samples, batch)
+        want_value, want_grads = vote_loglik(votes, samples, batch)
+        assert abs(value - want_value) <= 1e-12 * abs(want_value)
+        # Each gradient entry against the sum of its terms' magnitudes,
+        # |v - sigmoid(t)| <= 1 times |x_i| or |eta_j|.
+        in_batch = np.isin(votes.bill_idx, batch)
+        i, j = votes.lawmaker_idx[in_batch], votes.bill_idx[in_batch]
+        bound = {
+            "alpha": np.bincount(j, minlength=votes.num_bills),
+            "eta": np.bincount(j, weights=np.abs(samples["x"][i]), minlength=votes.num_bills),
+            "x": np.bincount(i, weights=np.abs(samples["eta"][j]),
+                             minlength=votes.num_lawmakers),
+        }
+        for name, got in grads.items():
+            assert got.shape == samples[name].shape, name
+            assert np.all(np.abs(got - want_grads[name]) <= 1e-12 * bound[name]), name
 
 
 # Names with the characters CSV quoting has to handle, and the header's own
