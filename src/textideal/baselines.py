@@ -183,13 +183,13 @@ class _StreamState(VariationalState):
             )
             for name in ("alpha", "psi", "b", "x")
         }
-        super().__init__(families, {name: NormalPrior(1.0) for name in families})
+        super().__init__(families, {name: NormalPrior() for name in families})
 
     def sample_noise(self, rng):
         """One noise sample; `rng` is unused, block k draws from rngs[k]."""
         noise = {name: np.empty(fam.mu.shape) for name, fam in self.families.items()}
         for stream, slices in zip(self.rngs, self.slices):
-            for name in self.names:
+            for name in self.families:
                 stream.standard_normal(out=noise[name][slices[name]])
         return noise
 

@@ -19,7 +19,13 @@ Gradients are exact derivatives of that estimate with z held fixed: models
 supply d loglik / d u (s * d loglik / d s for positive factors), and one
 chain rule through u serves every factor. Nothing takes log s, so a sample
 that underflows to 0 leaves the objective finite. `finite_difference`
-provides the independent check. Adam ascent updates the parameters in place.
+provides the independent check.
+
+Every parameter lives in one buffer, `VariationalState.flat`. `gradient`
+returns (estimate, grad) with grad laid out like it, and `elbo_estimate`
+is that estimate alone. Adam ascent updates the buffer in place, one
+array a step. `NormalPrior` is standard normal, the prior of every real
+latent here.
 """
 
 from __future__ import annotations
@@ -121,19 +127,13 @@ class GammaPrior:
 
 
 class NormalPrior:
-    """Independent N(0, scale^2) prior on a real latent array."""
-
-    def __init__(self, scale=1.0):
-        if scale <= 0:
-            raise ValueError("Normal prior needs a positive scale")
-        self.scale = float(scale)
+    """Independent standard normal prior on a real latent array."""
 
     def log_prob(self, u, s):
-        var = self.scale**2
-        return float((-0.5 * LOG_2PI - math.log(self.scale) - 0.5 * s * s / var).sum())
+        return float((-0.5 * LOG_2PI - 0.5 * s * s).sum())
 
     def dlog_prob(self, s):
-        return -s / self.scale**2
+        return -s
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ class VariationalState:
     """Named mean-field factors paired with their priors.
 
     The state owns one float64 buffer, `flat`, holding every factor's mu
-    and log_sigma back to back in `parameters()` order. Each family's `mu`
+    and log_sigma back to back in family order. Each family's `mu`
     and `log_sigma` are views into it, so one Adam update covers them all.
     """
 
@@ -154,10 +154,12 @@ class VariationalState:
             raise ValueError("families and priors must share the same names")
         self.families = dict(families)
         self.priors = dict(priors)
-        self.names = list(families)
-        params = self.parameters()
-        self._shapes = [(key, p.shape) for key, p in params.items()]
-        self.flat = np.concatenate([p.ravel() for p in params.values()])
+        self._shapes, parts = [], []
+        for name, fam in self.families.items():
+            for part, p in (("mu", fam.mu), ("log_sigma", fam.log_sigma)):
+                self._shapes.append((f"{name}.{part}", p.shape))
+                parts.append(p.ravel())
+        self.flat = np.concatenate(parts)
         views = self.views(self.flat)
         for name, fam in self.families.items():
             fam.mu, fam.log_sigma = views[f"{name}.mu"], views[f"{name}.log_sigma"]
@@ -185,11 +187,7 @@ class VariationalState:
 
     def parameters(self):
         """Live parameter arrays keyed by '<name>.mu' / '<name>.log_sigma'."""
-        params = {}
-        for name, fam in self.families.items():
-            params[f"{name}.mu"] = fam.mu
-            params[f"{name}.log_sigma"] = fam.log_sigma
-        return params
+        return self.views(self.flat)
 
     def set_parameters(self, params):
         """Copy '<name>.mu' / '<name>.log_sigma' arrays into the live views."""
@@ -234,10 +232,9 @@ def elbo_estimate(state, batch, model, num_items, noise):
 def gradient(state, batch, model, num_items, noise, out=None):
     """Exact gradient of `elbo_estimate` with the noise draw held fixed.
 
-    Returns {'<name>.mu': g, '<name>.log_sigma': g} plus the estimate itself
-    under the key '__elbo__' (computed from the same pass). The gradients
-    are views into `out`, a buffer laid out like `state.flat`; a fresh one
-    is allocated when `out` is None.
+    Returns (estimate, grad): the estimate from the same pass, and the
+    gradient in `out`, a buffer laid out like `state.flat` (a fresh one
+    when `out` is None). `state.views(grad)` names its parts.
     """
     value, draws, lik_grads, scale = _estimate(state, batch, model, num_items, noise)
     if out is None:
@@ -256,8 +253,7 @@ def gradient(state, batch, model, num_items, noise, out=None):
         np.multiply(noise[name], sigma, out=g_log_sigma)
         g_log_sigma *= g_mu
         g_log_sigma += 1.0
-    grads["__elbo__"] = value
-    return grads
+    return value, out
 
 
 # ---------------------------------------------------------------------------
@@ -272,45 +268,43 @@ _EPS = 1e-8
 
 
 class AdamState:
-    """First/second moment accumulators for Adam with bias correction."""
+    """Adam's step count and first/second moments, made on the first step."""
 
     def __init__(self, lr):
         self.lr = lr
         self.t = 0
-        self.m = {}
-        self.v = {}
+        self.m = None
+        self.v = None
 
 
-def adam_step(adam, params, grads):
-    """One bias-corrected Adam ascent step in place; returns `params`.
+def adam_step(adam, p, g):
+    """One bias-corrected Adam ascent step on the array `p` in place; returns `p`.
 
-    Moment accumulators live in `adam`, keyed like `params`. Two scratch
-    arrays per key hold every intermediate.
+    The moments in `adam` are shaped like `p`. One scratch array and one
+    denominator hold every intermediate.
     """
     adam.t += 1
+    if adam.m is None:
+        adam.m = np.zeros_like(p)
+        adam.v = np.zeros_like(p)
     c1 = 1.0 - _BETA1**adam.t
     c2 = 1.0 - _BETA2**adam.t
-    for key, p in params.items():
-        g = grads[key]
-        if key not in adam.m:
-            adam.m[key] = np.zeros_like(p)
-            adam.v[key] = np.zeros_like(p)
-        m, v = adam.m[key], adam.v[key]
-        step = np.multiply(g, 1.0 - _BETA1)
-        m *= _BETA1
-        m += step
-        np.multiply(g, 1.0 - _BETA2, out=step)
-        step *= g
-        v *= _BETA2
-        v += step
-        denom = np.divide(v, c2)
-        np.sqrt(denom, out=denom)
-        denom += _EPS
-        np.divide(m, c1, out=step)
-        step *= adam.lr
-        step /= denom
-        p += step
-    return params
+    m, v = adam.m, adam.v
+    step = np.multiply(g, 1.0 - _BETA1)
+    m *= _BETA1
+    m += step
+    np.multiply(g, 1.0 - _BETA2, out=step)
+    step *= g
+    v *= _BETA2
+    v += step
+    denom = np.divide(v, c2)
+    np.sqrt(denom, out=denom)
+    denom += _EPS
+    np.divide(m, c1, out=step)
+    step *= adam.lr
+    step /= denom
+    p += step
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +357,7 @@ def fit(state, model, cfg, rng):
     flat too.
     """
     adam = AdamState(cfg.lr)
-    params = {"flat": state.flat}
     total = np.empty_like(state.flat)
-    grads = {"flat": total}
     extra = np.empty_like(state.flat) if cfg.mc_samples > 1 else None
     num_items = model.num_items
     full_batch = cfg.batch_size >= num_items
@@ -375,11 +367,10 @@ def fit(state, model, cfg, rng):
         for step in range(1, cfg.max_steps + 1):
             batch = fixed if full_batch else rng.choice(num_items, cfg.batch_size, replace=False)
             noise = state.sample_noise(rng)
-            value = gradient(state, batch, model, num_items, noise, out=total)["__elbo__"]
+            value, _ = gradient(state, batch, model, num_items, noise, out=total)
             for _ in range(1, cfg.mc_samples):
                 noise = state.sample_noise(rng)
-                draw = gradient(state, batch, model, num_items, noise, out=extra)
-                value = value + draw["__elbo__"]
+                value = value + gradient(state, batch, model, num_items, noise, out=extra)[0]
                 total += extra
             if cfg.mc_samples > 1:
                 value = value / cfg.mc_samples
@@ -387,7 +378,7 @@ def fit(state, model, cfg, rng):
             value = float(value)
             if not math.isfinite(value):
                 raise NonFiniteElbo(step, value)
-            adam_step(adam, params, grads)
+            adam_step(adam, state.flat, total)
             if step == 1 or step % cfg.elbo_report_interval == 0 or step == cfg.max_steps:
                 trace.append((step, value))
     return trace

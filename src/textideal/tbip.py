@@ -376,8 +376,8 @@ def make_state(corpus, k, theta_init, beta_init, priors, rng):
     prior_map = {
         "theta": GammaPrior(priors.a, priors.b),
         "beta": GammaPrior(priors.a, priors.b),
-        "eta": NormalPrior(1.0),
-        "x": NormalPrior(1.0),
+        "eta": NormalPrior(),
+        "x": NormalPrior(),
     }
     return VariationalState(families, prior_map)
 

@@ -19,13 +19,11 @@ from .fitio import open_text
 
 
 def sigmoid(t):
-    """Logistic function, stable across the finite float range."""
+    """Logistic function, stable across the float range: with q = exp(-|t|),
+    1 / (1 + q) for t >= 0 and q / (1 + q) below."""
     t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
+    q = np.exp(-np.abs(t))
+    out = np.where(t >= 0, 1.0, q) / (1.0 + q)
     return out if out.ndim else float(out)
 
 
@@ -130,7 +128,7 @@ def make_state(num_lawmakers, num_bills, rng):
     families = gaussian_families(
         {"x": num_lawmakers, "alpha": num_bills, "eta": num_bills}, rng
     )
-    priors = {name: NormalPrior(1.0) for name in families}
+    priors = {name: NormalPrior() for name in families}
     return VariationalState(families, priors)
 
 

@@ -107,37 +107,34 @@ def family_log_density(fam, s):
 
 
 def _prior_terms(prior, s):
-    """(log p(s), d log p / d s) for a Gamma (shape, rate) or Normal (scale) prior."""
+    """(log p(s), d log p / d s) for a Gamma (shape, rate) or standard normal prior."""
     if hasattr(prior, "rate"):
         a, b = prior.shape, prior.rate
         return gamma_log_prob(s, a, b), (a - 1.0) / s - b
-    var = prior.scale**2
-    value = float(np.sum(-0.5 * LOG_2PI - math.log(prior.scale) - 0.5 * s * s / var))
-    return value, -s / prior.scale**2
+    return float(np.sum(-0.5 * LOG_2PI - 0.5 * s * s)), -s
 
 
 def sample_space_gradient(state, batch, loglik, num_items, noise):
     """The engine gradient taken in sample space.
 
     `loglik(samples, batch)` returns (value, d loglik / d sample). Returns
-    the same keys as `engine.gradient`, '__elbo__' included.
+    (estimate, {key: gradient}), keyed like `state.views` of
+    `engine.gradient`'s buffer.
     """
     batch = np.atleast_1d(np.asarray(batch))
     samples = {}
-    for name in state.names:
-        fam = state.families[name]
+    for name, fam in state.families.items():
         u = fam.mu + fam.sigma * noise[name]
         samples[name] = np.exp(u) if fam.positive else u
-    priors = {name: _prior_terms(state.priors[name], samples[name]) for name in state.names}
-    log_prior = sum(priors[name][0] for name in state.names)
+    priors = {name: _prior_terms(state.priors[name], samples[name]) for name in state.families}
+    log_prior = sum(priors[name][0] for name in state.families)
     log_q = sum(family_log_density(state.families[name], samples[name])
-                for name in state.names)
+                for name in state.families)
     value, lik_grads = loglik(samples, batch)
     scale = num_items / batch.size
 
-    grads = {"__elbo__": log_prior + scale * value - log_q}
-    for name in state.names:
-        fam = state.families[name]
+    grads = {}
+    for name, fam in state.families.items():
         s, z = samples[name], noise[name]
         ds = priors[name][1]
         g = lik_grads.get(name)
@@ -151,7 +148,7 @@ def sample_space_gradient(state, batch, loglik, num_items, noise):
             q_mu, q_ls = np.zeros_like(fam.mu), -np.ones_like(fam.log_sigma)
         grads[f"{name}.mu"] = ds * dmu_s - q_mu
         grads[f"{name}.log_sigma"] = ds * dls_s - q_ls
-    return grads
+    return log_prior + scale * value - log_q, grads
 
 
 def _per_array_gradient(state, batch, model, num_items, noise):
@@ -163,14 +160,14 @@ def _per_array_gradient(state, batch, model, num_items, noise):
         log_q += state.families[name].log_density(u, sigma)
     loglik, lik_grads = model.loglik({name: s for name, (_, s, _) in draws.items()}, batch)
     scale = num_items / batch.size
-    grads = {"__elbo__": log_prior + scale * loglik - log_q}
+    grads = {}
     for name, (_, s, sigma) in draws.items():
         du = state.priors[name].dlog_prob(s)
         if name in lik_grads:
             du = du + scale * lik_grads[name]
         grads[f"{name}.mu"] = du
         grads[f"{name}.log_sigma"] = du * (noise[name] * sigma) + 1.0
-    return grads
+    return log_prior + scale * loglik - log_q, grads
 
 
 def per_array_fit(state, model, cfg, rng):
@@ -188,14 +185,17 @@ def per_array_fit(state, model, cfg, rng):
                 batch = fixed
             else:
                 batch = rng.choice(num_items, cfg.batch_size, replace=False)
-            total = None
-            for _ in range(cfg.mc_samples):
-                grads = _per_array_gradient(state, batch, model, num_items,
-                                            state.sample_noise(rng))
-                total = grads if total is None else {k: total[k] + g for k, g in grads.items()}
+            value, total = _per_array_gradient(state, batch, model, num_items,
+                                               state.sample_noise(rng))
+            for _ in range(1, cfg.mc_samples):
+                draw, grads = _per_array_gradient(state, batch, model, num_items,
+                                                  state.sample_noise(rng))
+                value = value + draw
+                total = {k: total[k] + g for k, g in grads.items()}
             if cfg.mc_samples > 1:
+                value = value / cfg.mc_samples
                 total = {k: g / cfg.mc_samples for k, g in total.items()}
-            value = float(total.pop("__elbo__"))
+            value = float(value)
             c1, c2 = 1.0 - 0.9**step, 1.0 - 0.999**step
             for key, p in params.items():
                 g = total[key]
@@ -353,7 +353,7 @@ def wordfish_fit(counts, cfg, rng):
         {"alpha": num_authors, "psi": num_terms, "b": num_terms, "x": num_authors}, rng
     )
     state = engine.VariationalState(
-        families, {name: engine.NormalPrior(1.0) for name in families}
+        families, {name: engine.NormalPrior() for name in families}
     )
     trace = engine.fit(state, Model(), dataclasses.replace(cfg, batch_size=num_authors), rng)
     return state.posterior_means(), trace

@@ -69,7 +69,7 @@ class TestEntropyAndPrior:
     def test_standard_normal_at_zero(self):
         state = VariationalState(
             {"x": Family(np.zeros(1), np.zeros(1))},
-            {"x": NormalPrior(1.0)},
+            {"x": NormalPrior()},
         )
         u, s, _ = state.draw({"x": np.zeros(1)})["x"]
         assert np.isclose(state.priors["x"].log_prob(u, s), -0.5 * LOG_2PI)
@@ -162,7 +162,7 @@ class TestElboEstimate:
     def test_zero_when_q_equals_prior_and_no_data(self):
         state = VariationalState(
             {"x": Family(np.zeros(4), np.zeros(4))},
-            {"x": NormalPrior(1.0)},
+            {"x": NormalPrior()},
         )
         rng = np.random.default_rng(2)
         for _ in range(5):
@@ -179,7 +179,7 @@ class TestElboEstimate:
     @pytest.mark.parametrize("kind", ["tbip dense", "tbip sparse", "vote", "wordfish"])
     def test_is_the_value_of_the_gradient_pass_bitwise(self, kind):
         """`elbo_estimate` runs the model's one likelihood pass, so it
-        returns exactly `gradient`'s __elbo__ for the same draw."""
+        returns exactly `gradient`'s value for the same draw."""
         from unittest import mock
 
         from textideal import tbip
@@ -211,7 +211,7 @@ class TestElboEstimate:
             for _ in range(3):
                 noise = state.sample_noise(rng)
                 value = elbo_estimate(state, batch, model, model.num_items, noise)
-                assert value == gradient(state, batch, model, model.num_items, noise)["__elbo__"]
+                assert value == gradient(state, batch, model, model.num_items, noise)[0]
 
     def test_monte_carlo_standard_error_shrinks(self):
         state, model, corpus, rng = _poisson_state_and_model(seed=9)
@@ -236,8 +236,7 @@ class TestGradient:
         state, model, corpus, rng = _poisson_state_and_model(seed=11)
         noise = state.sample_noise(rng)
         batch = np.arange(corpus.num_docs)
-        grads = gradient(state, batch, model, corpus.num_docs, noise)
-        grads.pop("__elbo__")
+        grads = state.views(gradient(state, batch, model, corpus.num_docs, noise)[1])
 
         def fn(params):
             state.set_parameters(params)
@@ -267,25 +266,24 @@ class TestGradient:
         state, model, corpus, rng = _poisson_state_and_model(seed=6)
         noise = state.sample_noise(rng)
         batch = np.array([1])
-        g1 = gradient(state, batch, model, 10, noise)
-        g2 = gradient(state, batch, model, 20, noise)
-        g0 = gradient(state, batch, model, 0 + 1, noise)  # scale 1
-        for key in g1:
-            if key == "__elbo__":
-                continue
-            lik_part = g1[key] - g0[key]  # 9x the unit-scale likelihood grad
-            assert np.allclose(g2[key] - g0[key], lik_part * 19 / 9)
+        _, g1 = gradient(state, batch, model, 10, noise)
+        _, g2 = gradient(state, batch, model, 20, noise)
+        _, g0 = gradient(state, batch, model, 0 + 1, noise)  # scale 1
+        lik_part = g1 - g0  # 9x the unit-scale likelihood grad
+        assert np.allclose(g2 - g0, lik_part * 19 / 9)
 
 
 class TestGradientMatchesSampleSpaceOracle:
     """`gradient` in u-space against the sample-space form it replaced."""
 
     @staticmethod
-    def _assert_bitwise(grads, expected):
-        assert set(grads) == set(expected)
-        assert grads.pop("__elbo__") == expected.pop("__elbo__")
-        for key in expected:
-            assert np.array_equal(grads[key], expected[key]), key
+    def _assert_bitwise(state, result, expected):
+        (value, grad), (want_value, want) = result, expected
+        assert value == want_value
+        grads = state.views(grad)
+        assert set(grads) == set(want)
+        for key in want:
+            assert np.array_equal(grads[key], want[key]), key
 
     def test_vote_state_bitwise(self):
         from textideal.synth import SynthSpec, sample_votes
@@ -297,10 +295,10 @@ class TestGradientMatchesSampleSpaceOracle:
         model = VoteModel(votes)
         for batch in (np.arange(votes.num_bills), rng.choice(votes.num_bills, 7, replace=False)):
             noise = state.sample_noise(rng)
-            grads = gradient(state, batch, model, votes.num_bills, noise)
+            result = gradient(state, batch, model, votes.num_bills, noise)
             expected = sample_space_gradient(
                 state, batch, model.loglik, votes.num_bills, noise)
-            self._assert_bitwise(grads, expected)
+            self._assert_bitwise(state, result, expected)
 
     def test_stacked_wordfish_state_bitwise(self):
         from textideal.baselines import WordfishModel, _StreamState
@@ -312,10 +310,10 @@ class TestGradientMatchesSampleSpaceOracle:
         batch = np.arange(model.num_items)
         for _ in range(3):
             noise = state.sample_noise(None)
-            grads = gradient(state, batch, model, model.num_items, noise)
+            result = gradient(state, batch, model, model.num_items, noise)
             expected = sample_space_gradient(
                 state, batch, model.loglik, model.num_items, noise)
-            self._assert_bitwise(grads, expected)
+            self._assert_bitwise(state, result, expected)
 
     @pytest.mark.parametrize("seed, batch", [(11, None), (12, [2, 0]), (13, [1])])
     def test_tbip_state_within_1e_12(self, seed, batch):
@@ -324,11 +322,13 @@ class TestGradientMatchesSampleSpaceOracle:
         batch = np.arange(corpus.num_docs) if batch is None else np.array(batch)
         for _ in range(3):
             noise = state.sample_noise(rng)
-            grads = gradient(state, batch, model, corpus.num_docs, noise)
-            expected = sample_space_gradient(
+            value, grad = gradient(state, batch, model, corpus.num_docs, noise)
+            want_value, expected = sample_space_gradient(
                 state, batch,
                 lambda s, b: tbip_loglik(dense, corpus.author_of, model.weights, s, b),
                 corpus.num_docs, noise)
+            assert abs(value - want_value) <= 1e-12 * abs(want_value)
+            grads = state.views(grad)
             assert set(grads) == set(expected)
             for key, exp in expected.items():
                 got, exp = np.asarray(grads[key]), np.asarray(exp)
@@ -352,8 +352,8 @@ class TestUnderflow:
         assert draws["theta"][1][0, 0] == 0.0 and draws["beta"][1][0, 0] == 0.0
         batch = np.arange(corpus.num_docs)
         assert math.isfinite(elbo_estimate(state, batch, model, corpus.num_docs, noise))
-        grads = gradient(state, batch, model, corpus.num_docs, noise)
-        for key, g in grads.items():
+        _, grad = gradient(state, batch, model, corpus.num_docs, noise)
+        for key, g in state.views(grad).items():
             assert np.all(np.isfinite(g)), key
 
     def test_fit_runs_through_underflow(self):
@@ -369,38 +369,35 @@ class TestUnderflow:
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         adam = AdamState(lr=0.001)
-        params = {"w": np.zeros(4)}
-        out = adam_step(adam, params, {"w": np.ones(4)})
-        assert np.allclose(out["w"], 0.001, rtol=1e-6)
+        out = adam_step(adam, np.zeros(4), np.ones(4))
+        assert np.allclose(out, 0.001, rtol=1e-6)
 
     def test_zero_gradient_no_motion(self):
         adam = AdamState(lr=0.1)
-        params = {"w": np.full(3, 2.0)}
-        out = adam_step(adam, params, {"w": np.zeros(3)})
-        assert np.array_equal(out["w"], np.full(3, 2.0))
+        out = adam_step(adam, np.full(3, 2.0), np.zeros(3))
+        assert np.array_equal(out, np.full(3, 2.0))
 
     def test_zero_learning_rate_is_identity(self):
         adam = AdamState(lr=0.0)
-        params = {"w": np.array([1.0, -2.0])}
-        out = adam_step(adam, params, {"w": np.array([5.0, 5.0])})
-        assert np.array_equal(out["w"], [1.0, -2.0])
+        out = adam_step(adam, np.array([1.0, -2.0]), np.array([5.0, 5.0]))
+        assert np.array_equal(out, [1.0, -2.0])
 
     def test_in_place_steps_equal_out_of_place_reference(self):
         rng = np.random.default_rng(7)
         p0 = rng.standard_normal((20, 50))
         grads = [rng.standard_normal((20, 50)) for _ in range(5)]
         adam = AdamState(lr=0.05)
-        params = {"w": p0.copy()}
-        live = params["w"]
+        live = p0.copy()
         p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
         for t, g in enumerate(grads, start=1):
-            assert adam_step(adam, params, {"w": g}) is params
+            assert adam_step(adam, live, g) is live  # updated in place, not replaced
             m = 0.9 * m + (1.0 - 0.9) * g
             v = 0.999 * v + (1.0 - 0.999) * g * g
             p = p + 0.05 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
-            assert np.array_equal(params["w"], p)
-        assert params["w"] is live  # updated in place, not replaced
-        assert np.array_equal(adam.m["w"], m) and np.array_equal(adam.v["w"], v)
+            assert np.array_equal(live, p)
+        assert adam.t == len(grads)
+        assert type(adam.m) is np.ndarray and type(adam.v) is np.ndarray
+        assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
 
 
 class TestFlatParameters:
@@ -424,22 +421,19 @@ class TestFlatParameters:
 
     def test_set_parameters_rejects_a_wrong_shape(self):
         state = VariationalState({"x": Family(np.zeros(3), np.zeros(3))},
-                                 {"x": NormalPrior(1.0)})
+                                 {"x": NormalPrior()})
         with pytest.raises(ValueError, match="x.mu"):
             state.set_parameters({"x.mu": np.zeros(4), "x.log_sigma": np.zeros(3)})
 
     def test_gradient_calls_do_not_alias(self):
         state, model, corpus, rng = _poisson_state_and_model(seed=4)
         batch = np.arange(corpus.num_docs)
-        first = gradient(state, batch, model, corpus.num_docs, state.sample_noise(rng))
-        kept = {k: np.copy(g) for k, g in first.items()}
-        second = gradient(state, batch, model, corpus.num_docs, state.sample_noise(rng))
-        for key, g in first.items():
-            if key == "__elbo__":
-                continue
-            assert not np.shares_memory(g, second[key]), key
-            assert not np.shares_memory(g, state.flat), key
-            assert np.array_equal(g, kept[key]), key
+        _, first = gradient(state, batch, model, corpus.num_docs, state.sample_noise(rng))
+        kept = first.copy()
+        _, second = gradient(state, batch, model, corpus.num_docs, state.sample_noise(rng))
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, state.flat)
+        assert np.array_equal(first, kept)
 
     @pytest.mark.parametrize("dense", [True, False])
     def test_fit_is_bitwise_the_per_array_loop(self, dense, monkeypatch):
@@ -482,8 +476,8 @@ class TestElboUnbiasedness:
         rng = np.random.default_rng(0)
         state = make_state(corpus, 1, np.array([[0.8]]), np.array([[1.2]]),
                            PriorConfig(a=0.3, b=0.3), rng)
-        for name in state.names:
-            state.families[name].log_sigma[:] = math.log(0.4)
+        for fam in state.families.values():
+            fam.log_sigma[:] = math.log(0.4)
         state.families["eta"].mu[:] = 0.3
         state.families["x"].mu[:] = -0.2
         model = TBIPModel(corpus, np.ones(1))
@@ -520,7 +514,7 @@ def _recording_fit(num_items, **settings):
     model = _RecordingModel(num_items)
     state = VariationalState(
         engine.gaussian_families({"x": num_items}, np.random.default_rng(0)),
-        {"x": NormalPrior(1.0)},
+        {"x": NormalPrior()},
     )
     trace = engine.fit(state, model, TrainConfig(**settings), np.random.default_rng(1))
     return model, trace
@@ -546,7 +540,7 @@ class TestFitLoop:
     def test_fit_leaves_the_callers_initial_arrays_unchanged(self):
         mu = np.array([0.3, -0.2, 0.1])
         log_sigma = np.full(3, math.log(0.1))
-        state = VariationalState({"x": Family(mu, log_sigma)}, {"x": NormalPrior(1.0)})
+        state = VariationalState({"x": Family(mu, log_sigma)}, {"x": NormalPrior()})
         engine.fit(state, _RecordingModel(3), TrainConfig(max_steps=5, batch_size=3),
                    np.random.default_rng(0))
         assert not np.array_equal(state.families["x"].mu, mu)  # the fit moved
@@ -555,7 +549,7 @@ class TestFitLoop:
 
     def test_fit_leaves_arrays_given_to_set_parameters_unchanged(self):
         state = VariationalState(
-            {"x": Family(np.zeros(3), np.zeros(3))}, {"x": NormalPrior(1.0)})
+            {"x": Family(np.zeros(3), np.zeros(3))}, {"x": NormalPrior()})
         params = {"x.mu": np.array([0.3, -0.2, 0.1]), "x.log_sigma": np.full(3, -2.0)}
         state.set_parameters(params)
         engine.fit(state, _RecordingModel(3), TrainConfig(max_steps=5, batch_size=3),
@@ -564,6 +558,22 @@ class TestFitLoop:
         assert np.array_equal(params["x.mu"], [0.3, -0.2, 0.1])
         assert np.array_equal(params["x.log_sigma"], np.full(3, -2.0))
 
+    def test_one_adam_step_per_step_on_the_flat_buffer(self, monkeypatch):
+        """Benchmarks count steps and time them from the calls to the
+        module-level `adam_step`, whose first argument is `state.flat`."""
+        adam_step = engine.adam_step
+        calls = []
+
+        def counting(adam, p, g):
+            calls.append(p)
+            return adam_step(adam, p, g)
+
+        monkeypatch.setattr(engine, "adam_step", counting)
+        state, model, _, rng = _poisson_state_and_model(seed=2)
+        engine.fit(state, model, TrainConfig(max_steps=7, batch_size=2, mc_samples=2), rng)
+        assert len(calls) == 7
+        assert all(p is state.flat for p in calls)
+
     def test_adam_state_needs_a_learning_rate(self):
         with pytest.raises(TypeError):
             AdamState()
@@ -571,7 +581,7 @@ class TestFitLoop:
     def test_nonfinite_objective_raises_with_step(self):
         state = VariationalState(
             {"x": Family(np.array([800.0]), np.zeros(1))},
-            {"x": NormalPrior(1.0)},
+            {"x": NormalPrior()},
         )
 
         class ExplodingModel:
@@ -593,7 +603,7 @@ class TestFitLoop:
         rng = np.random.default_rng(0)
         state = VariationalState(
             engine.gaussian_families({"alpha": 3, "psi": 2, "b": 2, "x": 3}, rng),
-            {name: NormalPrior(1.0) for name in ("alpha", "psi", "b", "x")},
+            {name: NormalPrior() for name in ("alpha", "psi", "b", "x")},
         )
         # A subsampled batch is a caller error for the full-batch model, not
         # a non-finite objective.

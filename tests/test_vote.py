@@ -43,6 +43,23 @@ class TestVoteProb:
         assert 0.0 < lo < 1e-300  # no underflow to zero, no overflow
         assert np.isfinite(vote_prob(0.0, 700.0, 1.0))
 
+    def test_sigmoid_is_bitwise_the_masked_two_branch_form(self):
+        """The shared q = exp(-|t|) form against the former boolean-masked
+        passes: equal bits everywhere (signed zeros, overflow and underflow
+        edges included), and NaN stays NaN."""
+        t = 30.0 * np.random.default_rng(0).standard_normal(1_000_000)
+        edges = [0.0, np.inf, 709.8, 745.2]
+        t = np.concatenate([t, edges, np.negative(edges), [np.nan]])
+        want = np.empty_like(t)
+        pos = t >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+        e = np.exp(t[~pos])
+        want[~pos] = e / (1.0 + e)
+        got = sigmoid(t)
+        assert np.isnan(got[-1]) and np.isnan(want[-1])
+        assert np.array_equal(got[:-1].view(np.int64), want[:-1].view(np.int64))
+        assert sigmoid(-0.0) == 0.5 and isinstance(sigmoid(-0.0), float)
+
     def test_joint_sign_flip_invariance_bitwise(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
