@@ -15,11 +15,11 @@ The minibatch likelihood and its gradients come from one pass in one of
 two self-contained layouts, chosen once per corpus. On a sparse corpus the
 Poisson mass comes from per-author sums over bounded vocabulary tiles, and
 the y / rate terms from a loop over the batch authors, each over only the
-terms its batch documents use. On a corpus at least a quarter dense, one
-batched pass over the G batch authors, each padded to the M documents of
-the largest, forms each author's tilted basis once and takes the mass and
-the y / rate terms from it, costing G * M * V * K per batch. A batch
-dominated by one author pads every other author up to that author's size.
+terms its batch documents use. On a corpus at least a quarter dense, the
+G batch authors' tilted bases are formed once, in one batched pass that
+also gives the mass, and the y / rate terms come from one pass per author
+over only its own documents' dense rows, costing B * V * K per batch of B
+documents.
 """
 
 from __future__ import annotations
@@ -211,13 +211,11 @@ class TBIPModel:
       halves of the gradients from per-author sums over vocabulary tiles
       (`_mass_sums`), and one dense (docs x K) @ (K x terms) product per
       author over the terms its batch documents use;
-    - dense: one batched pass over all G batch authors, each padded to the
-      M documents of the largest, which costs G * M * V * K per batch. It
-      forms basis_a once and takes r_a, lambda and the gradients from it.
-      A padding slot has y = 0 and theta = 1 and adds exactly 0 to the
-      value and every gradient. A batch dominated by one author pads every
-      other author up to that author's size. The model keeps a read-only
-      dense copy of the counts, plus one zero row used as padding.
+    - dense: basis_a and r_a for all G batch authors in one batched pass
+      (G x K x V), then one pass per author over its own documents' rows
+      for lambda and the y / lambda terms, which costs B * V * K per batch
+      of B documents however the batch splits across authors. The model
+      keeps a read-only dense copy of the counts (D x V).
     """
 
     def __init__(self, corpus, weights):
@@ -233,9 +231,7 @@ class TBIPModel:
         )
         self._dense = None
         if vals.size >= _DENSE_SHARE * corpus.num_docs * corpus.num_terms:
-            # Row num_docs stays zero: the padding row.
-            self._dense = np.zeros((corpus.num_docs + 1, corpus.num_terms))
-            corpus.counts.toarray(out=self._dense[:-1])
+            self._dense = corpus.counts.toarray()
             self._dense.flags.writeable = False
 
     def loglik(self, samples, doc_idx):
@@ -314,48 +310,45 @@ class TBIPModel:
         return float((c.T * sums[:, :, 0]).sum()), part, resid_theta, grad_x, terms
 
     def _dense_layout(self, samples, docs, bounds, w, th, c, x_batch):
-        """All batch authors in one batched pass over (G x M) document
-        slots, the empty ones padded; the mass from the same basis."""
+        """One pass per batch author over its own documents' dense rows;
+        the mass from the same basis."""
         beta = samples["beta"]
         eta = samples["eta"]
         k, num_terms = beta.shape
         sizes = bounds[1:] - bounds[:-1]
-        groups, m = sizes.size, int(sizes.max())
-        rows, th_w, slot = docs, th, None
-        if docs.size < groups * m:
-            # Slot of each sorted batch document in the (G x M) layout.
-            slot = np.arange(docs.size)
-            slot += (m * np.arange(groups) - bounds[:-1]).repeat(sizes)
-            rows = np.full(groups * m, self.corpus.num_docs)
-            rows[slot] = docs
-            th_w = np.ones((groups * m, k))
-            th_w[slot] = th
-        y = self._dense.take(rows, axis=0).reshape(groups, m, num_terms)
+        y = self._dense.take(docs, axis=0)
         # w_a theta_d: lam then needs no pass of its own to scale it.
-        th_w = th_w.reshape(groups, m, k) * w[:, None, None]
+        w_doc = w.repeat(sizes)[:, None]
+        th_w = th * w_doc
         # basis_a = beta * exp(x_a * eta), (G x K x V), and r_a its sum over
         # the vocabulary, (G x K).
         basis = eta * x_batch[:, None, None]
         np.exp(basis, out=basis)
         basis *= beta
         r = basis.sum(axis=2)
-        lam = th_w @ basis
-        resid = y / lam
-        part = float(np.vdot(y, np.log(lam, out=lam)))
-        # theta's, per slot: w_a (y / lam @ basis_a^T - r_a).
-        resid_theta = resid @ basis.transpose(0, 2, 1)
-        resid_theta -= r[:, None, :]
-        resid_theta *= w[:, None, None]
-        resid_theta = resid_theta.reshape(groups * m, k)
-        if slot is not None:
-            resid_theta = resid_theta[slot]
+        # lam and y / lam of one author's documents, reused across authors.
+        lam_buf = np.empty((sizes.max(), num_terms))
+        resid_buf = np.empty_like(lam_buf)
+        part = 0.0
+        resid_theta = np.empty_like(th)
+        g_a = np.empty_like(basis)
+        edges = bounds.tolist()  # Python ints: cheaper slicing than numpy's
+        for g, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            th_a, y_a, basis_a = th_w[lo:hi], y[lo:hi], basis[g]
+            lam = np.matmul(th_a, basis_a, out=lam_buf[: hi - lo])
+            resid = np.divide(y_a, lam, out=resid_buf[: hi - lo])
+            part += float(np.vdot(y_a, np.log(lam, out=lam)))
+            np.matmul(resid, basis_a.T, out=resid_theta[lo:hi])
+            np.matmul(th_a.T, resid, out=g_a[g])
+        # theta's, per document: w_a (y / lam @ basis_a^T - r_a).
+        resid_theta -= r.repeat(sizes, axis=0)
+        resid_theta *= w_doc
         # G_a = (w theta_a^T (y / lam) - c_a) * basis_a (G x K x V) is the
         # gradient with respect to log beta; eta's weighs it by x_a, and
         # x_a's is <G_a, eta>.
-        g_a = th_w.transpose(0, 2, 1) @ resid
         g_a -= c[:, :, None]
         g_a *= basis
-        g_flat = g_a.reshape(groups, k * num_terms)
+        g_flat = g_a.reshape(sizes.size, k * num_terms)
         grad_eta = (x_batch @ g_flat).reshape(k, num_terms)
         return (float(np.vdot(c, r)), part, resid_theta, g_flat @ eta.ravel(),
                 (g_a.sum(axis=0), grad_eta))

@@ -166,8 +166,9 @@ class TestLoglikMatchesLoopOracle:
         self._check(corpus, dense, weights, samples, docs)
 
     def test_one_author_holds_most_of_the_batch(self):
-        """The padded layout's worst case: every other author is padded up
-        to the size of the one that dominates the batch."""
+        """One author dominates the batch and the others have one document
+        each: the dense layout's per-author pass sees rows of very unequal
+        counts."""
         corpus, dense, weights, samples = self._setup(13, num_docs=60, num_authors=5)
         big = np.flatnonzero(corpus.author_of == 3)
         others = [int(np.flatnonzero(corpus.author_of == a)[0]) for a in (0, 1, 2, 4)]
@@ -296,9 +297,36 @@ def test_loglik_peak_memory_below_dense_batch():
     assert peak < num_docs * num_terms * 8
 
 
+def test_dense_loglik_peak_memory_on_skewed_batch():
+    """A dense batch where one author holds 200 documents and 40 others
+    one each: one call with gradients allocates a few B x V blocks, not
+    one per author sized by the largest."""
+    rng = np.random.default_rng(12)
+    num_terms, k, num_authors = 400, 5, 41
+    author_of = np.concatenate([np.zeros(200, dtype=int), np.arange(1, num_authors)])
+    counts = sp.csr_matrix(rng.poisson(1.0, (author_of.size, num_terms)) + 0.0)
+    corpus = SparseCorpus(counts, author_of, [f"a{i}" for i in range(num_authors)])
+    samples = {
+        "theta": rng.gamma(1.0, 1.0, (corpus.num_docs, k)) + 0.05,
+        "beta": rng.gamma(1.0, 1.0, (k, num_terms)) + 0.05,
+        "eta": rng.normal(0.0, 0.3, (k, num_terms)),
+        "x": rng.normal(0.0, 1.0, num_authors),
+    }
+    model = TBIPModel(corpus, compute_weights(corpus))
+    assert model._dense is not None
+    batch = rng.permutation(corpus.num_docs)
+    tracemalloc.start()
+    try:
+        model.loglik(samples, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * batch.size * num_terms * 8
+
+
 class TestCountLayout:
-    """The dense copy of the counts: kept for dense corpora only, read-only,
-    and its padding row stays zero."""
+    """The dense copy of the counts: kept for dense corpora only, exactly
+    the D x V counts, and read-only."""
 
     def test_sparse_corpus_keeps_no_dense_copy(self):
         rng = np.random.default_rng(16)
@@ -308,7 +336,7 @@ class TestCountLayout:
         assert corpus.counts.nnz < tbip._DENSE_SHARE * 200 * 500
         assert TBIPModel(corpus, compute_weights(corpus))._dense is None
 
-    def test_dense_copy_is_read_only_and_padding_stays_zero(self):
+    def test_dense_copy_is_exactly_the_read_only_counts(self):
         corpus = _tiny_corpus(np.random.default_rng(17), num_docs=12)
         cfg = TrainConfig(k=2, batch_size=5, max_steps=30, seed=3, lr=0.05,
                           elbo_report_interval=10, pretrain_sweeps=5)
@@ -316,8 +344,7 @@ class TestCountLayout:
             train_tbip(corpus, cfg)
         copy = fit.call_args.args[1]._dense
         assert not copy.flags.writeable
-        assert np.array_equal(copy[:-1], corpus.counts.toarray())
-        assert not copy[-1].any()
+        assert np.array_equal(copy, corpus.counts.toarray())
 
     def test_dense_fit_matches_forced_sparse_fit(self):
         spec = SynthSpec(num_docs=1000, num_terms=300, num_authors=20, num_topics=5, seed=0)
