@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import engine
-from .engine import Family, NormalPrior, VariationalState, gaussian_families
+from .engine import VariationalState, gaussian_factors
 
 
 class DebateTooSmall(ValueError):
@@ -173,24 +173,22 @@ class _StreamState(VariationalState):
             for rows, terms in zip(model.author_slices, model.term_slices)
         ]
         parts = [
-            gaussian_families({"alpha": n, "psi": v, "b": v, "x": n}, rng)
+            gaussian_factors({"alpha": n, "psi": v, "b": v, "x": n}, rng)
             for (n, v), rng in zip(model.shapes, self.rngs)
         ]
-        families = {
-            name: Family(
-                np.concatenate([p[name].mu for p in parts]),
-                np.concatenate([p[name].log_sigma for p in parts]),
-            )
+        # Each factor's (mu, log_sigma): the blocks' arrays concatenated.
+        super().__init__({
+            name: tuple(map(np.concatenate, zip(*(p[name] for p in parts))))
             for name in ("alpha", "psi", "b", "x")
-        }
-        super().__init__(families, {name: NormalPrior() for name in families})
+        })
 
     def sample_noise(self, rng):
         """One noise sample; `rng` is unused, block k draws from rngs[k]."""
-        noise = {name: np.empty(fam.mu.shape) for name, fam in self.families.items()}
+        noise = np.empty(self.size)
+        parts = self.split(noise)
         for stream, slices in zip(self.rngs, self.slices):
-            for name in self.families:
-                stream.standard_normal(out=noise[name][slices[name]])
+            for name, part in parts.items():
+                stream.standard_normal(out=part[slices[name]])
         return noise
 
 

@@ -1,17 +1,17 @@
 """Reparameterized variational inference engine.
 
-Every mean-field factor is one `Family`: Gaussian on the real line, with a
-location mu and a log-scale log_sigma. One `Family.draw` per factor turns a
-noise draw z into
+The variational family is one `VariationalState`: a Gaussian on the real
+line for every latent cell, with a location mu and a log-scale log_sigma.
+One standard-normal noise draw z over every cell gives
 
-    u = mu + sigma * z,   sigma = exp(log_sigma),
+    u = mu + sigma * z,   sigma = exp(log_sigma).
 
-and the model's sample s = u for real latents, or s = exp(u) for positive
-ones (`positive=True`, a lognormal factor); priors, log q and gradients
-reuse its u, s and sigma. The objective is taken in u for every factor, as
-in ADVI (Kucukelbir et al. 2017): priors are densities over u (the Gamma
-prior carries the Jacobian of s = exp(u)) and log q is Gaussian in u. The
-single-draw objective estimate is
+The factors named `positive` come first. Their samples are s = exp(u)
+(lognormal factors) under one Gamma(a, b) prior; every other factor is
+real, s = u, under a standard normal prior. The objective is taken in u
+for every factor, as in ADVI (Kucukelbir et al. 2017): priors are
+densities over u (the Gamma prior carries the Jacobian of s = exp(u)) and
+log q is Gaussian in u. The single-draw objective estimate is
 
     elbo(z) = log p(u) + (N / |batch|) * loglik(batch | s) - log q(u).
 
@@ -21,11 +21,11 @@ chain rule through u serves every factor. Nothing takes log s, so a sample
 that underflows to 0 leaves the objective finite. `finite_difference`
 provides the independent check.
 
-Every parameter lives in one buffer, `VariationalState.flat`. `gradient`
-returns (estimate, grad) with grad laid out like it, and `elbo_estimate`
-is that estimate alone. Adam ascent updates the buffer in place, one
-array a step. `NormalPrior` is standard normal, the prior of every real
-latent here.
+Every parameter lives in one buffer, `VariationalState.flat`: every
+factor's mu, then every factor's log_sigma, in factor order. A noise draw
+is laid out like the mu half. `gradient` returns (estimate, grad) with
+grad laid out like `flat`, and `elbo_estimate` is that estimate alone.
+Adam ascent updates the buffer in place, one array a step.
 """
 
 from __future__ import annotations
@@ -48,142 +48,85 @@ class NonFiniteElbo(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Variational families
+# Variational state
 # ---------------------------------------------------------------------------
 
 
-class Family:
-    """Elementwise mean-field factors, Gaussian on the real line.
-
-    u = mu + sigma * z with sigma = exp(log_sigma); the sample is u itself,
-    or exp(u) (a lognormal factor) when `positive`. Copies its inputs.
-    """
-
-    def __init__(self, mu, log_sigma, positive=False):
-        self.mu = np.array(mu, dtype=np.float64)
-        self.log_sigma = np.array(log_sigma, dtype=np.float64)
-        self.positive = bool(positive)
-        if self.mu.shape != self.log_sigma.shape:
-            raise ValueError("mu and log_sigma must have identical shapes")
-
-    @property
-    def sigma(self):
-        return np.exp(self.log_sigma)
-
-    def draw(self, z):
-        """(u, sample, sigma) for standard noise z, sigma = exp(log_sigma)."""
-        z = np.asarray(z)
-        if z.shape != self.mu.shape:
-            raise ValueError(f"noise shape {z.shape} != parameter shape {self.mu.shape}")
-        sigma = self.sigma
-        u = self.mu + sigma * z
-        return u, (np.exp(u) if self.positive else u), sigma
-
-    def log_density(self, u, sigma):
-        """log q at the value u (a Gaussian), given `draw`'s sigma."""
-        t = (u - self.mu) / sigma
-        return float((-0.5 * LOG_2PI - self.log_sigma - 0.5 * t * t).sum())
-
-    def posterior_mean(self):
-        if self.positive:
-            return np.exp(self.mu + 0.5 * self.sigma**2)
-        return self.mu.copy()
-
-
-def gaussian_families(shapes, rng):
+def gaussian_factors(shapes, rng):
     """Real-valued factors initialized as in every training recipe here:
-    locations 0.1 * N(0, 1) and scales 0.1.
+    {name: (mu, log_sigma)} with locations 0.1 * N(0, 1) and scales 0.1.
 
     Locations are drawn from `rng` in the order of `shapes` (name -> array
     shape), so the order fixes the random stream.
     """
     return {
-        name: Family(0.1 * rng.standard_normal(shape), np.full(shape, math.log(0.1)))
+        name: (0.1 * rng.standard_normal(shape), np.full(shape, math.log(0.1)))
         for name, shape in shapes.items()
     }
 
 
-# ---------------------------------------------------------------------------
-# Priors
-# ---------------------------------------------------------------------------
-
-
-class GammaPrior:
-    """Independent Gamma(shape, rate) prior on a positive latent s = exp(u)."""
-
-    def __init__(self, shape, rate):
-        if shape <= 0 or rate <= 0:
-            raise ValueError("Gamma prior needs positive shape and rate")
-        self.shape = float(shape)
-        self.rate = float(rate)
-
-    def log_prob(self, u, s):
-        """Log density of u = log s, the Jacobian u included."""
-        a, b = self.shape, self.rate
-        return float((a * math.log(b) - gammaln(a) + a * u - b * s).sum())
-
-    def dlog_prob(self, s):
-        return self.shape - self.rate * s
-
-
-class NormalPrior:
-    """Independent standard normal prior on a real latent array."""
-
-    def log_prob(self, u, s):
-        return float((-0.5 * LOG_2PI - 0.5 * s * s).sum())
-
-    def dlog_prob(self, s):
-        return -s
-
-
-# ---------------------------------------------------------------------------
-# Variational state
-# ---------------------------------------------------------------------------
-
-
 class VariationalState:
-    """Named mean-field factors paired with their priors.
+    """Mean-field factors over one float64 buffer, `flat`.
 
-    The state owns one float64 buffer, `flat`, holding every factor's mu
-    and log_sigma back to back in family order. Each family's `mu`
-    and `log_sigma` are views into it, so one Adam update covers them all.
+    `factors` maps each name to its initial (mu, log_sigma), which are
+    copied. The factors named in `positive` must come first: they are
+    lognormal under a Gamma prior with (shape, rate) `gamma`. Every other
+    factor is Gaussian under N(0, 1). `flat` holds every factor's mu, then
+    every factor's log_sigma; `mu` and `log_sigma` are its two halves.
     """
 
-    def __init__(self, families, priors):
-        if set(families) != set(priors):
-            raise ValueError("families and priors must share the same names")
-        self.families = dict(families)
-        self.priors = dict(priors)
-        self._shapes, parts = [], []
-        for name, fam in self.families.items():
-            for part, p in (("mu", fam.mu), ("log_sigma", fam.log_sigma)):
-                self._shapes.append((f"{name}.{part}", p.shape))
-                parts.append(p.ravel())
-        self.flat = np.concatenate(parts)
-        views = self.views(self.flat)
-        for name, fam in self.families.items():
-            fam.mu, fam.log_sigma = views[f"{name}.mu"], views[f"{name}.log_sigma"]
+    def __init__(self, factors, positive=(), gamma=None):
+        names = list(factors)
+        self.positive = tuple(positive)
+        if sorted(names[: len(self.positive)]) != sorted(self.positive):
+            raise ValueError(f"positive factors {self.positive} must be the first of {names}")
+        if self.positive and not (gamma is not None and gamma[0] > 0 and gamma[1] > 0):
+            raise ValueError("positive factors need a Gamma prior with positive shape and rate")
+        self.gamma = gamma
+        self._layout, parts, start = {}, [], 0
+        for name, (mu, log_sigma) in factors.items():
+            mu = np.asarray(mu, dtype=np.float64)
+            log_sigma = np.asarray(log_sigma, dtype=np.float64)
+            if mu.shape != log_sigma.shape:
+                raise ValueError(f"{name}: mu and log_sigma must have identical shapes")
+            self._layout[name] = (slice(start, start + mu.size), mu.shape, name in self.positive)
+            start += mu.size
+            parts.append((mu.ravel(), log_sigma.ravel()))
+        self.size = start
+        self._positive_cells = sum(math.prod(self._layout[name][1]) for name in self.positive)
+        self.flat = np.concatenate([mu for mu, _ in parts] + [ls for _, ls in parts])
+        self.mu, self.log_sigma = self.flat[:start], self.flat[start:]
+
+    def split(self, buf):
+        """{name: view} into `buf`, laid out like `mu` (one cell per latent)."""
+        return {name: buf[sl].reshape(shape) for name, (sl, shape, _) in self._layout.items()}
 
     def views(self, buf):
         """{'<name>.mu' / '<name>.log_sigma': view} into `buf`, laid out like `flat`."""
-        out = {}
-        start = 0
-        for key, shape in self._shapes:
-            stop = start + math.prod(shape)
-            out[key] = buf[start:stop].reshape(shape)
-            start = stop
-        return out
+        halves = (("mu", buf[: self.size]), ("log_sigma", buf[self.size :]))
+        return {f"{name}.{part}": view
+                for part, half in halves for name, view in self.split(half).items()}
 
     def sample_noise(self, rng):
-        """One standard-normal draw per factor, shaped like its parameters."""
-        return {
-            name: rng.standard_normal(fam.mu.shape)
-            for name, fam in self.families.items()
-        }
+        """One standard-normal draw, laid out like `mu`."""
+        return rng.standard_normal(self.size)
 
     def draw(self, noise):
-        """{name: (u, sample, sigma)}, each factor's `Family.draw`."""
-        return {name: fam.draw(noise[name]) for name, fam in self.families.items()}
+        """(u, s, sigma) for noise laid out like `mu`: sigma = exp(log_sigma)
+        and u = mu + sigma * noise over every cell, s = exp(u) over the
+        positive factors' cells."""
+        noise = np.asarray(noise)
+        if noise.shape != self.mu.shape:
+            raise ValueError(f"noise shape {noise.shape} != parameter shape {self.mu.shape}")
+        sigma = np.exp(self.log_sigma)
+        u = sigma * noise
+        u += self.mu
+        return u, np.exp(u[: self._positive_cells]), sigma
+
+    def samples(self, u, s):
+        """{name: sample} from `draw`: views of s for positive factors, of u otherwise."""
+        return {name: (s if positive else u)[sl].reshape(shape)
+                for name, (sl, shape, positive) in self._layout.items()}
 
     def parameters(self):
         """Live parameter arrays keyed by '<name>.mu' / '<name>.log_sigma'."""
@@ -198,25 +141,35 @@ class VariationalState:
             view[...] = value
 
     def posterior_means(self):
-        return {name: fam.posterior_mean() for name, fam in self.families.items()}
+        """{name: mean under q}: exp(mu + sigma^2 / 2) if positive, else mu."""
+        means = self.mu.copy()
+        p = self._positive_cells
+        means[:p] = np.exp(self.mu[:p] + 0.5 * np.exp(self.log_sigma[:p]) ** 2)
+        return self.split(means)
 
 
 def _estimate(state, batch, model, num_items, noise):
-    """(objective estimate, the state's draws, likelihood gradients, scale)."""
+    """(objective estimate, the draw's u, s and sigma, likelihood gradients, scale)."""
     batch = np.atleast_1d(np.asarray(batch))
     if batch.size == 0:
         raise ValueError("batch must be non-empty")
     if num_items < batch.size:
         raise ValueError("num_items must be at least the batch size")
-    draws = state.draw(noise)
+    u, s, sigma = state.draw(noise)
+    # Prior and log q terms, summed factor by factor in factor order.
     log_prior = log_q = 0
-    for name, (u, s, sigma) in draws.items():
-        log_prior += state.priors[name].log_prob(u, s)
-        log_q += state.families[name].log_density(u, sigma)
-    samples = {name: s for name, (_, s, _) in draws.items()}
-    loglik, lik_grads = model.loglik(samples, batch)
+    for sl, _, positive in state._layout.values():
+        u_f = u[sl]
+        if positive:
+            a, b = state.gamma
+            log_prior += float((a * math.log(b) - gammaln(a) + a * u_f - b * s[sl]).sum())
+        else:
+            log_prior += float((-0.5 * LOG_2PI - 0.5 * u_f * u_f).sum())
+        t = (u_f - state.mu[sl]) / sigma[sl]
+        log_q += float((-0.5 * LOG_2PI - state.log_sigma[sl] - 0.5 * t * t).sum())
+    loglik, lik_grads = model.loglik(state.samples(u, s), batch)
     scale = num_items / batch.size
-    return log_prior + scale * loglik - log_q, draws, lik_grads, scale
+    return log_prior + scale * loglik - log_q, u, s, sigma, lik_grads, scale
 
 
 def elbo_estimate(state, batch, model, num_items, noise):
@@ -224,7 +177,7 @@ def elbo_estimate(state, batch, model, num_items, noise):
 
     The likelihood over the batch is rescaled by num_items / len(batch);
     prior and entropy terms cover every factor in full. The model's pass is
-    the one `gradient` runs; only the per-factor derivatives are skipped.
+    the one `gradient` runs; only the derivatives are skipped.
     """
     return _estimate(state, batch, model, num_items, noise)[0]
 
@@ -236,23 +189,25 @@ def gradient(state, batch, model, num_items, noise, out=None):
     gradient in `out`, a buffer laid out like `state.flat` (a fresh one
     when `out` is None). `state.views(grad)` names its parts.
     """
-    value, draws, lik_grads, scale = _estimate(state, batch, model, num_items, noise)
+    value, u, s, sigma, lik_grads, scale = _estimate(state, batch, model, num_items, noise)
     if out is None:
         out = np.empty_like(state.flat)
-    grads = state.views(out)
-    for name, (_, s, sigma) in draws.items():
-        g_mu = grads[f"{name}.mu"]
-        g_log_sigma = grads[f"{name}.log_sigma"]
+    p = s.size
+    g_mu, g_log_sigma = out[: state.size], out[state.size :]
+    # Prior derivatives in u: a - b * s under the Gamma prior, -u under N(0, 1).
+    if p:
+        a, b = state.gamma
+        np.multiply(s, -b, out=g_mu[:p])
+        g_mu[:p] += a
+    np.negative(u[p:], out=g_mu[p:])
+    for name, g_f in state.split(g_mu).items():
         g = lik_grads.get(name)
-        if g is None:
-            g_mu[...] = state.priors[name].dlog_prob(s)
-        else:
-            np.multiply(g, scale, out=g_mu)
-            g_mu += state.priors[name].dlog_prob(s)
-        # u = mu + sigma * z, and log q contributes -d log_sigma = +1.
-        np.multiply(noise[name], sigma, out=g_log_sigma)
-        g_log_sigma *= g_mu
-        g_log_sigma += 1.0
+        if g is not None:
+            g_f += g * scale
+    # u = mu + sigma * z, and log q contributes -d log_sigma = +1.
+    np.multiply(noise, sigma, out=g_log_sigma)
+    g_log_sigma *= g_mu
+    g_log_sigma += 1.0
     return value, out
 
 

@@ -8,8 +8,9 @@ by the author's position on a latent left-right axis:
 with a = author of document d and w the author verbosity weights. Gamma
 priors on theta and beta, standard normal priors on eta and x. Training
 initializes theta/beta from a Poisson factorization pretrain, then runs
-stochastic reparameterized ascent (see `engine`) with lognormal factors on
-the positive latents and Gaussian factors on the real ones.
+stochastic reparameterized ascent (see `engine`) on one variational state:
+theta and beta are its positive (lognormal) factors under `PriorConfig`'s
+Gamma(a, b), eta and x its real (Gaussian) ones.
 
 The minibatch likelihood and its gradients come from one pass in one of
 two self-contained layouts, chosen once per corpus. On a sparse corpus the
@@ -32,7 +33,7 @@ from scipy.special import gammaln
 
 from . import engine, fitio, pf
 from .corpus import compute_weights, log_transform
-from .engine import Family, GammaPrior, NormalPrior, VariationalState, gaussian_families
+from .engine import VariationalState, gaussian_factors
 
 
 @dataclass(frozen=True)
@@ -360,19 +361,13 @@ def make_state(corpus, k, theta_init, beta_init, priors, rng):
     at small random values, and every scale starts at 0.1."""
     num_docs, num_terms = corpus.num_docs, corpus.num_terms
     log_sig = np.log(0.1)
-    families = {
-        "theta": Family(np.log(theta_init), np.full((num_docs, k), log_sig), positive=True),
-        "beta": Family(np.log(beta_init), np.full((k, num_terms), log_sig), positive=True),
+    factors = {
+        "theta": (np.log(theta_init), np.full((num_docs, k), log_sig)),
+        "beta": (np.log(beta_init), np.full((k, num_terms), log_sig)),
         # The factor order theta, beta, eta, x is the order `sample_noise` draws in.
-        **gaussian_families({"eta": (k, num_terms), "x": corpus.num_authors}, rng),
+        **gaussian_factors({"eta": (k, num_terms), "x": corpus.num_authors}, rng),
     }
-    prior_map = {
-        "theta": GammaPrior(priors.a, priors.b),
-        "beta": GammaPrior(priors.a, priors.b),
-        "eta": NormalPrior(),
-        "x": NormalPrior(),
-    }
-    return VariationalState(families, prior_map)
+    return VariationalState(factors, positive=("theta", "beta"), gamma=(priors.a, priors.b))
 
 
 def train_tbip(corpus, cfg, priors=None, init=None):
@@ -414,7 +409,7 @@ def train_tbip(corpus, cfg, priors=None, init=None):
         elbo_trace=trace,
         config=config,
         author_names=list(corpus.author_names),
-        eta_sigma=state.families["eta"].sigma,
+        eta_sigma=np.exp(state.parameters()["eta.log_sigma"]),
     )
 
 

@@ -14,7 +14,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import engine
-from .engine import NormalPrior, VariationalState, gaussian_families
+from .engine import VariationalState, gaussian_factors
 from .fitio import open_text
 
 
@@ -125,11 +125,9 @@ VoteFit = namedtuple("VoteFit", ["x_hat", "alpha_hat", "eta_hat", "elbo_trace"])
 
 
 def make_state(num_lawmakers, num_bills, rng):
-    families = gaussian_families(
+    return VariationalState(gaussian_factors(
         {"x": num_lawmakers, "alpha": num_bills, "eta": num_bills}, rng
-    )
-    priors = {name: NormalPrior() for name in families}
-    return VariationalState(families, priors)
+    ))
 
 
 def train_vote(votes, cfg):

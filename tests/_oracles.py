@@ -1,18 +1,20 @@
 """Independent numerical oracles shared by the test modules.
 
 Everything here is computed without touching the code paths under test:
-quadrature instead of Monte Carlo, direct density formulas instead of the
-library's family classes, the sample-space form of the engine's gradient,
-and the straightforward loop forms of the fast kernels (one bincount per
-topic, scipy's logsumexp, one mask per author, one arange per bill, one
-loop step per recorded vote, one gradient array and one Adam update per
-parameter array, one engine run per wordfish debate, one dict update per
-n-gram in preprocessing, one write per counts line).
+quadrature instead of Monte Carlo, per-factor density formulas instead of
+the engine's whole-buffer passes, the sample-space form of the engine's
+gradient, and the straightforward loop forms of the fast kernels (one
+bincount per topic, scipy's logsumexp, one mask per author, one arange per
+bill, one loop step per recorded vote, one noise draw, one gradient array
+and one Adam update per parameter array, one engine run per wordfish
+debate, one dict update per n-gram in preprocessing, one write per counts
+line). The variational oracles read a state only through
+`state.parameters()`, its positive factor names and its Gamma (a, b).
 """
 
 import dataclasses
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,9 +36,11 @@ def quadrature_elbo(state, y, w, prior_a, prior_b, nodes=40):
     z = math.sqrt(2.0) * t
     probs = wts / math.sqrt(math.pi)
 
+    params = state.parameters()
+
     def fam_params(name):
-        fam = state.families[name]
-        return float(fam.mu.ravel()[0]), float(fam.sigma.ravel()[0])
+        return (float(params[f"{name}.mu"].ravel()[0]),
+                float(np.exp(params[f"{name}.log_sigma"]).ravel()[0]))
 
     mu_t, sd_t = fam_params("theta")
     mu_b, sd_b = fam_params("beta")
@@ -81,6 +85,49 @@ def quadrature_elbo(state, y, w, prior_a, prior_b, nodes=40):
     return float(np.sum(weight * integrand))
 
 
+def _factors(state, noise):
+    """(name, mu, log_sigma, z, positive) per factor, in factor order, with
+    z the factor's share of a noise draw laid out like the mu half."""
+    params = state.parameters()
+    noise = np.asarray(noise)
+    out, start = [], 0
+    for key, mu in params.items():
+        if key.endswith(".mu"):
+            name = key[: -len(".mu")]
+            z = noise[start : start + mu.size].reshape(mu.shape)
+            start += mu.size
+            out.append((name, mu, params[f"{name}.log_sigma"], z, name in state.positive))
+    assert start == noise.size
+    return out
+
+
+FactorDraw = namedtuple("FactorDraw", ["sample", "z", "sigma", "log_prior", "log_q", "dprior"])
+
+
+def factor_draws(state, noise):
+    """{name: FactorDraw} of one noise draw, one factor at a time, in the
+    engine's u-space expressions: a Gamma(a, b) prior over u = log s
+    (Jacobian included) on positive factors, N(0, 1) on the others, and
+    log q Gaussian in u. `dprior` is d log p / d u."""
+    draws = {}
+    for name, mu, log_sigma, z, positive in _factors(state, noise):
+        sigma = np.exp(log_sigma)
+        u = mu + sigma * z
+        if positive:
+            a, b = state.gamma
+            s = np.exp(u)
+            log_prior = float((a * math.log(b) - gammaln(a) + a * u - b * s).sum())
+            dprior = a - b * s
+        else:
+            s = u
+            log_prior = float((-0.5 * LOG_2PI - 0.5 * s * s).sum())
+            dprior = -s
+        t = (u - mu) / sigma
+        log_q = float((-0.5 * LOG_2PI - log_sigma - 0.5 * t * t).sum())
+        draws[name] = FactorDraw(s, z, sigma, log_prior, log_q, dprior)
+    return draws
+
+
 # The engine's objective and gradient as they were taken in sample space:
 # log p(s) and log q(s) with the -log s Jacobian on the lognormal density,
 # model gradients d loglik / d s, and the chain rule through s = exp(u).
@@ -93,27 +140,6 @@ def gamma_log_prob(s, a, b):
     return float(np.sum(a * math.log(b) - gammaln(a) + (a - 1.0) * np.log(s) - b * s))
 
 
-def family_log_density(fam, s):
-    """log q at the sample s: normal in s, or lognormal when `fam.positive`."""
-    base = -0.5 * LOG_2PI - fam.log_sigma
-    if not fam.positive:
-        t = (s - fam.mu) / fam.sigma
-        return float(np.sum(base - 0.5 * t * t))
-    if np.any(s <= 0):
-        raise ValueError("lognormal density evaluated at a nonpositive point")
-    ls = np.log(s)
-    t = (ls - fam.mu) / fam.sigma
-    return float(np.sum(base - ls - 0.5 * t * t))
-
-
-def _prior_terms(prior, s):
-    """(log p(s), d log p / d s) for a Gamma (shape, rate) or standard normal prior."""
-    if hasattr(prior, "rate"):
-        a, b = prior.shape, prior.rate
-        return gamma_log_prob(s, a, b), (a - 1.0) / s - b
-    return float(np.sum(-0.5 * LOG_2PI - 0.5 * s * s)), -s
-
-
 def sample_space_gradient(state, batch, loglik, num_items, noise):
     """The engine gradient taken in sample space.
 
@@ -122,30 +148,43 @@ def sample_space_gradient(state, batch, loglik, num_items, noise):
     `engine.gradient`'s buffer.
     """
     batch = np.atleast_1d(np.asarray(batch))
-    samples = {}
-    for name, fam in state.families.items():
-        u = fam.mu + fam.sigma * noise[name]
-        samples[name] = np.exp(u) if fam.positive else u
-    priors = {name: _prior_terms(state.priors[name], samples[name]) for name in state.families}
-    log_prior = sum(priors[name][0] for name in state.families)
-    log_q = sum(family_log_density(state.families[name], samples[name])
-                for name in state.families)
+    factors = _factors(state, noise)
+    samples, sigmas, dpriors = {}, {}, {}
+    log_prior = log_q = 0
+    for name, mu, log_sigma, z, positive in factors:
+        sigma = np.exp(log_sigma)
+        s = mu + sigma * z
+        base = -0.5 * LOG_2PI - log_sigma
+        if positive:
+            a, b = state.gamma
+            s = np.exp(s)
+            log_prior += gamma_log_prob(s, a, b)
+            dpriors[name] = (a - 1.0) / s - b
+            ls = np.log(s)
+            t = (ls - mu) / sigma
+            log_q += float(np.sum(base - ls - 0.5 * t * t))
+        else:
+            log_prior += float(np.sum(-0.5 * LOG_2PI - 0.5 * s * s))
+            dpriors[name] = -s
+            t = (s - mu) / sigma
+            log_q += float(np.sum(base - 0.5 * t * t))
+        samples[name], sigmas[name] = s, sigma
     value, lik_grads = loglik(samples, batch)
     scale = num_items / batch.size
 
     grads = {}
-    for name, fam in state.families.items():
-        s, z = samples[name], noise[name]
-        ds = priors[name][1]
+    for name, mu, log_sigma, z, positive in factors:
+        s, sigma = samples[name], sigmas[name]
+        ds = dpriors[name]
         g = lik_grads.get(name)
         if g is not None:
             ds = ds + scale * g
-        if fam.positive:
-            dmu_s, dls_s = s, s * z * fam.sigma
-            q_mu, q_ls = -np.ones_like(fam.mu), -1.0 - z * fam.sigma
+        if positive:
+            dmu_s, dls_s = s, s * z * sigma
+            q_mu, q_ls = -np.ones_like(mu), -1.0 - z * sigma
         else:
-            dmu_s, dls_s = np.ones_like(fam.mu), z * fam.sigma
-            q_mu, q_ls = np.zeros_like(fam.mu), -np.ones_like(fam.log_sigma)
+            dmu_s, dls_s = np.ones_like(mu), z * sigma
+            q_mu, q_ls = np.zeros_like(mu), -np.ones_like(log_sigma)
         grads[f"{name}.mu"] = ds * dmu_s - q_mu
         grads[f"{name}.log_sigma"] = ds * dls_s - q_ls
     return log_prior + scale * value - log_q, grads
@@ -153,26 +192,33 @@ def sample_space_gradient(state, batch, loglik, num_items, noise):
 
 def _per_array_gradient(state, batch, model, num_items, noise):
     """The objective estimate and one new gradient array per parameter array."""
-    draws = state.draw(noise)
+    draws = factor_draws(state, noise)
     log_prior = log_q = 0
-    for name, (u, s, sigma) in draws.items():
-        log_prior += state.priors[name].log_prob(u, s)
-        log_q += state.families[name].log_density(u, sigma)
-    loglik, lik_grads = model.loglik({name: s for name, (_, s, _) in draws.items()}, batch)
+    for d in draws.values():
+        log_prior += d.log_prior
+        log_q += d.log_q
+    loglik, lik_grads = model.loglik({name: d.sample for name, d in draws.items()}, batch)
     scale = num_items / batch.size
     grads = {}
-    for name, (_, s, sigma) in draws.items():
-        du = state.priors[name].dlog_prob(s)
+    for name, d in draws.items():
+        du = d.dprior
         if name in lik_grads:
             du = du + scale * lik_grads[name]
         grads[f"{name}.mu"] = du
-        grads[f"{name}.log_sigma"] = du * (noise[name] * sigma) + 1.0
+        grads[f"{name}.log_sigma"] = du * (d.z * d.sigma) + 1.0
     return log_prior + scale * loglik - log_q, grads
 
 
+def _per_factor_noise(params, rng):
+    """One standard-normal draw per factor, in factor order, concatenated."""
+    return np.concatenate([rng.standard_normal(p.shape).ravel()
+                           for key, p in params.items() if key.endswith(".mu")])
+
+
 def per_array_fit(state, model, cfg, rng):
-    """`engine.fit` with a gradient dict per draw, draws summed key by key,
-    and one Adam update with its own moments per parameter array."""
+    """`engine.fit` with one noise draw per factor, a gradient dict per
+    draw, draws summed key by key, and one Adam update with its own moments
+    per parameter array."""
     params = state.parameters()
     m = {key: np.zeros_like(p) for key, p in params.items()}
     v = {key: np.zeros_like(p) for key, p in params.items()}
@@ -186,10 +232,10 @@ def per_array_fit(state, model, cfg, rng):
             else:
                 batch = rng.choice(num_items, cfg.batch_size, replace=False)
             value, total = _per_array_gradient(state, batch, model, num_items,
-                                               state.sample_noise(rng))
+                                               _per_factor_noise(params, rng))
             for _ in range(1, cfg.mc_samples):
                 draw, grads = _per_array_gradient(state, batch, model, num_items,
-                                                  state.sample_noise(rng))
+                                                  _per_factor_noise(params, rng))
                 value = value + draw
                 total = {k: total[k] + g for k, g in grads.items()}
             if cfg.mc_samples > 1:
@@ -267,14 +313,18 @@ def pf_objective(state, rows, cols, y):
     return value
 
 
-def tbip_loglik(counts, author_of, weights, samples, doc_idx):
+def tbip_loglik(counts, author_of, weights, samples, doc_idx, magnitudes=False):
     """Minibatch TBIP log likelihood and gradients, one mask per author.
 
-    `counts` is the dense D x V count matrix.
+    `counts` is the dense D x V count matrix. With `magnitudes`, also
+    returns, per gradient, the sum of the absolute values of the terms it
+    adds up: y / lam and 1 enter each gradient with opposite signs, so a
+    gradient can cancel to far below them.
     """
     theta, beta, eta, x = (samples[k] for k in ("theta", "beta", "eta", "x"))
     value = 0.0
     grads = {k: np.zeros_like(samples[k]) for k in ("theta", "beta", "eta", "x")}
+    mags = {k: np.zeros_like(samples[k]) for k in ("theta", "beta", "eta", "x")}
     batch_authors = author_of[doc_idx]
     for a in np.unique(batch_authors):
         docs = doc_idx[batch_authors == a]
@@ -291,6 +341,14 @@ def tbip_loglik(counts, author_of, weights, samples, doc_idx):
         grads["beta"] += w * cross * tilt
         grads["eta"] += (w * x[a]) * cross * basis
         grads["x"][a] = w * np.sum(cross * basis * eta)
+        # The same sums over |terms|: y / lam + 1 in place of y / lam - 1.
+        mags["theta"][docs] = w * ((y / lam + 1.0) @ basis.T)
+        cross_mag = th.T @ (y / lam + 1.0)
+        mags["beta"] += w * cross_mag * tilt
+        mags["eta"] += abs(w * x[a]) * cross_mag * basis
+        mags["x"][a] = w * np.sum(cross_mag * basis * np.abs(eta))
+    if magnitudes:
+        return value, grads, mags
     return value, grads
 
 
@@ -349,12 +407,9 @@ def wordfish_fit(counts, cfg, rng):
             return wordfish_loglik(counts, samples, rows)
 
     num_authors, num_terms = counts.shape
-    families = engine.gaussian_families(
+    state = engine.VariationalState(engine.gaussian_factors(
         {"alpha": num_authors, "psi": num_terms, "b": num_terms, "x": num_authors}, rng
-    )
-    state = engine.VariationalState(
-        families, {name: engine.NormalPrior() for name in families}
-    )
+    ))
     trace = engine.fit(state, Model(), dataclasses.replace(cfg, batch_size=num_authors), rng)
     return state.posterior_means(), trace
 

@@ -70,10 +70,10 @@ def test_criterion_2_elbo_unbiasedness():
     rng = np.random.default_rng(0)
     state = make_state(corpus, 1, np.array([[0.8]]), np.array([[1.2]]),
                        PriorConfig(a=0.3, b=0.3), rng)
-    for fam in state.families.values():
-        fam.log_sigma[:] = math.log(0.4)
-    state.families["eta"].mu[:] = 0.3
-    state.families["x"].mu[:] = -0.2
+    state.log_sigma[:] = math.log(0.4)
+    params = state.parameters()
+    params["eta.mu"][:] = 0.3
+    params["x.mu"][:] = -0.2
     model = TBIPModel(corpus, np.ones(1))
 
     draws = 100_000

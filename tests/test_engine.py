@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    factor_draws,
     gamma_log_prob,
     per_array_fit,
     quadrature_elbo,
@@ -13,9 +14,6 @@ from _oracles import (
 from textideal import engine
 from textideal.engine import (
     AdamState,
-    Family,
-    GammaPrior,
-    NormalPrior,
     VariationalState,
     adam_step,
     elbo_estimate,
@@ -27,33 +25,91 @@ from textideal.tbip import TrainConfig
 LOG_2PI = math.log(2 * math.pi)
 
 
+def _state(mu, log_sigma, positive=False, gamma=(1.0, 1.0)):
+    """One factor "s", lognormal under Gamma `gamma` when `positive`."""
+    if positive:
+        return VariationalState({"s": (mu, log_sigma)}, positive=("s",), gamma=gamma)
+    return VariationalState({"s": (mu, log_sigma)})
+
+
 class TestReparameterize:
     def test_gaussian_identity_case(self):
-        fam = Family(np.zeros(3), np.zeros(3))
-        assert np.array_equal(fam.draw(np.zeros(3))[0], np.zeros(3))
+        state = _state(np.zeros(3), np.zeros(3))
+        assert np.array_equal(state.draw(np.zeros(3))[0], np.zeros(3))
 
     def test_lognormal_at_zero_noise(self):
-        fam = Family(np.zeros(2), np.zeros(2), positive=True)
-        state = VariationalState({"s": fam}, {"s": GammaPrior(1.0, 1.0)})
-        u, s, _ = state.draw({"s": np.zeros(2)})["s"]
+        state = _state(np.zeros(2), np.zeros(2), positive=True)
+        u, s, _ = state.draw(np.zeros(2))
         assert np.array_equal(u, np.zeros(2))
         assert np.array_equal(s, np.ones(2))
 
     def test_gaussian_affine(self):
-        fam = Family(np.array([2.0]), np.log(np.array([0.5])))
-        assert np.allclose(fam.draw(np.array([2.0]))[0], [3.0])
+        state = _state(np.array([2.0]), np.log(np.array([0.5])))
+        assert np.allclose(state.draw(np.array([2.0]))[0], [3.0])
 
     def test_shape_mismatch_raises(self):
-        fam = Family(np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            fam.draw(np.zeros(4))
+        state = _state(np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="noise shape"):
+            state.draw(np.zeros(4))
 
     def test_deterministic_given_noise(self):
         rng = np.random.default_rng(0)
-        fam = Family(rng.standard_normal(5), rng.standard_normal(5), positive=True)
-        state = VariationalState({"s": fam}, {"s": GammaPrior(1.0, 1.0)})
-        z = {"s": rng.standard_normal(5)}
-        assert np.array_equal(state.draw(z)["s"][1], state.draw(z)["s"][1])
+        state = _state(rng.standard_normal(5), rng.standard_normal(5), positive=True)
+        z = rng.standard_normal(5)
+        assert np.array_equal(state.draw(z)[1], state.draw(z)[1])
+
+    def test_samples_are_exp_u_on_positive_factors_only(self):
+        state = VariationalState(
+            {"p": (np.zeros((2, 3)), np.zeros((2, 3))), "r": (np.zeros(4), np.zeros(4))},
+            positive=("p",), gamma=(1.0, 1.0))
+        z = np.random.default_rng(1).standard_normal(10)
+        u, s, sigma = state.draw(z)
+        assert s.shape == (6,) and np.array_equal(sigma, np.ones(10))
+        samples = state.samples(u, s)
+        assert np.array_equal(samples["p"], np.exp(z[:6]).reshape(2, 3))
+        assert np.array_equal(samples["r"], z[6:])
+
+
+class TestConstruction:
+    """The input checks of `VariationalState`."""
+
+    def test_positive_factor_must_come_first(self):
+        factors = {"x": (np.zeros(2), np.zeros(2)), "s": (np.zeros(3), np.zeros(3))}
+        with pytest.raises(ValueError, match="must be the first"):
+            VariationalState(factors, positive=("s",), gamma=(1.0, 1.0))
+        with pytest.raises(ValueError, match="must be the first"):
+            VariationalState(factors, positive=("missing",), gamma=(1.0, 1.0))
+        with pytest.raises(ValueError, match="must be the first"):
+            VariationalState(factors, positive=("x", "x"), gamma=(1.0, 1.0))
+        # Either order of the leading names is accepted.
+        factors = {"a": (np.zeros(1), np.zeros(1)), "b": (np.zeros(1), np.zeros(1)),
+                   "r": (np.zeros(1), np.zeros(1))}
+        VariationalState(factors, positive=("b", "a"), gamma=(1.0, 1.0))
+
+    @pytest.mark.parametrize("gamma", [None, (0.0, 1.0), (1.0, -1.0), (math.nan, 1.0)])
+    def test_positive_factor_needs_a_gamma_prior(self, gamma):
+        with pytest.raises(ValueError, match="Gamma prior"):
+            _state(np.zeros(2), np.zeros(2), positive=True, gamma=gamma)
+
+    @pytest.mark.parametrize("noise", [np.zeros(7), np.zeros(5), np.zeros((2, 3))])
+    def test_noise_of_the_wrong_size_rejected(self, noise):
+        state = VariationalState({"a": (np.zeros((2, 3)), np.zeros((2, 3)))})
+        with pytest.raises(ValueError, match="noise shape"):
+            elbo_estimate(state, np.array([0]), _NullModel(), 1, noise)
+
+    def test_mu_and_log_sigma_shapes_must_match(self):
+        with pytest.raises(ValueError, match="identical shapes"):
+            VariationalState({"x": (np.zeros(3), np.zeros((3, 1)))})
+
+    def test_construction_copies_the_callers_arrays(self):
+        mu, log_sigma = np.array([0.3, -0.2]), np.array([-1.0, -2.0])
+        state = VariationalState({"x": (mu, log_sigma)})
+        assert not np.shares_memory(state.flat, mu)
+        assert not np.shares_memory(state.flat, log_sigma)
+        state.flat += 1.0
+        mu[0] = 9.0
+        assert np.array_equal(mu, [9.0, -0.2]) and np.array_equal(log_sigma, [-1.0, -2.0])
+        assert np.array_equal(state.flat, [1.3, 0.8, 0.0, -1.0])
 
 
 class _NullModel:
@@ -65,50 +121,58 @@ class _NullModel:
         return 0.0, {}
 
 
+def _prior_minus_log_q(state, noise):
+    """log p(u) - log q(u) at one draw: the objective without data."""
+    return elbo_estimate(state, np.array([0]), _NullModel(), 1, noise)
+
+
 class TestEntropyAndPrior:
     def test_standard_normal_at_zero(self):
-        state = VariationalState(
-            {"x": Family(np.zeros(1), np.zeros(1))},
-            {"x": NormalPrior()},
-        )
-        u, s, _ = state.draw({"x": np.zeros(1)})["x"]
-        assert np.isclose(state.priors["x"].log_prob(u, s), -0.5 * LOG_2PI)
+        # log q at u = mu = 0 with sigma = 2 is -log(2 pi) / 2 - log 2.
+        state = _state(np.zeros(1), np.full(1, math.log(2.0)))
+        value = _prior_minus_log_q(state, np.zeros(1))
+        assert np.isclose(value, -0.5 * LOG_2PI - (-0.5 * LOG_2PI - math.log(2.0)))
 
     def test_gamma_1_1_at_one(self):
         # Densities are over u = log s; the Jacobian log s vanishes at s = 1.
-        prior = GammaPrior(1.0, 1.0)
-        assert np.isclose(prior.log_prob(np.zeros(1), np.ones(1)), -1.0)
+        state = _state(np.zeros(1), np.zeros(1), positive=True)
+        assert np.isclose(_prior_minus_log_q(state, np.zeros(1)), -1.0 + 0.5 * LOG_2PI)
 
     def test_lognormal_logq_at_one(self):
-        fam = Family(np.zeros(1), np.zeros(1), positive=True)
-        assert np.isclose(fam.log_density(np.zeros(1), fam.sigma), -0.5 * LOG_2PI)
+        state = _state(np.zeros(1), np.full(1, math.log(3.0)), positive=True)
+        value = _prior_minus_log_q(state, np.zeros(1))
+        assert np.isclose(value, -1.0 - (-0.5 * LOG_2PI - math.log(3.0)))
 
     def test_underflowed_sample_has_finite_density(self):
-        u = np.array([-800.0])  # exp(u) underflows to 0
-        prior = GammaPrior(0.3, 0.3)
-        assert np.exp(u)[0] == 0.0
-        assert math.isfinite(prior.log_prob(u, np.exp(u)))
-        assert np.all(np.isfinite(prior.dlog_prob(np.exp(u))))
-        fam = Family(np.zeros(1), np.zeros(1), positive=True)
-        assert math.isfinite(fam.log_density(u, fam.sigma))
+        state = _state(np.full(1, -800.0), np.zeros(1), positive=True, gamma=(0.3, 0.3))
+        _, s, _ = state.draw(np.zeros(1))
+        assert s[0] == 0.0  # exp(u) underflows to 0
+        assert math.isfinite(_prior_minus_log_q(state, np.zeros(1)))
+        _, grad = gradient(state, np.array([0]), _NullModel(), 1, np.zeros(1))
+        assert np.all(np.isfinite(grad))
 
     def test_density_matches_reparameterized_form(self):
         rng = np.random.default_rng(3)
-        for fam in (
-            Family(rng.standard_normal(4), 0.3 * rng.standard_normal(4)),
-            Family(rng.standard_normal(4), 0.3 * rng.standard_normal(4), positive=True),
-        ):
+        for positive in (False, True):
+            state = _state(rng.standard_normal(4), 0.3 * rng.standard_normal(4),
+                           positive=positive, gamma=(0.4, 0.7))
             z = rng.standard_normal(4)
+            params = state.parameters()
+            u = params["s.mu"] + np.exp(params["s.log_sigma"]) * z
+            if positive:
+                log_p = gamma_log_prob(np.exp(u), 0.4, 0.7) + np.sum(u)
+            else:
+                log_p = np.sum(-0.5 * LOG_2PI - 0.5 * u * u)
             # (u - mu) / sigma collapses to z
-            z_form = np.sum(-0.5 * LOG_2PI - fam.log_sigma - 0.5 * z * z)
-            u, _, sigma = fam.draw(z)
-            assert np.isclose(fam.log_density(u, sigma), z_form)
+            z_form = np.sum(-0.5 * LOG_2PI - params["s.log_sigma"] - 0.5 * z * z)
+            assert np.isclose(_prior_minus_log_q(state, z), log_p - z_form)
 
     def test_gamma_density_is_sample_density_times_jacobian(self):
         s = np.random.default_rng(8).gamma(1.0, 1.0, 6) + 0.05
-        prior = GammaPrior(0.4, 0.7)
+        state = _state(np.log(s), np.zeros(6), positive=True, gamma=(0.4, 0.7))
+        log_q = 6 * (-0.5 * LOG_2PI)  # z = 0 and sigma = 1
         expected = gamma_log_prob(s, 0.4, 0.7) + np.sum(np.log(s))
-        assert np.isclose(prior.log_prob(np.log(s), s), expected, rtol=1e-12)
+        assert np.isclose(_prior_minus_log_q(state, np.zeros(6)) + log_q, expected, rtol=1e-12)
 
 
 def _poisson_state_and_model(seed=0, num_docs=3, num_terms=5, num_topics=2, num_authors=2):
@@ -132,10 +196,8 @@ def _poisson_state_and_model(seed=0, num_docs=3, num_terms=5, num_topics=2, num_
 
 def _prior_and_log_q(state, noise):
     """(log prior, log q) summed over the state's factors at one draw."""
-    draws = state.draw(noise)
-    log_prior = sum(state.priors[n].log_prob(u, s) for n, (u, s, _) in draws.items())
-    log_q = sum(state.families[n].log_density(u, sigma) for n, (u, _, sigma) in draws.items())
-    return log_prior, log_q
+    draws = factor_draws(state, noise).values()
+    return sum(d.log_prior for d in draws), sum(d.log_q for d in draws)
 
 
 class TestElboEstimate:
@@ -144,7 +206,7 @@ class TestElboEstimate:
         noise = state.sample_noise(rng)
         batch = np.arange(corpus.num_docs)
         log_prior, log_q = _prior_and_log_q(state, noise)
-        samples = {name: s for name, (_, s, _) in state.draw(noise).items()}
+        samples = {name: d.sample for name, d in factor_draws(state, noise).items()}
         lik, _ = model.loglik(samples, batch)
         value = elbo_estimate(state, batch, model, corpus.num_docs, noise)
         assert np.isclose(value, log_prior + lik - log_q)
@@ -160,10 +222,7 @@ class TestElboEstimate:
         assert np.isclose(e2 - base, 2.0 * (e1 - base))
 
     def test_zero_when_q_equals_prior_and_no_data(self):
-        state = VariationalState(
-            {"x": Family(np.zeros(4), np.zeros(4))},
-            {"x": NormalPrior()},
-        )
+        state = VariationalState({"x": (np.zeros(4), np.zeros(4))})
         rng = np.random.default_rng(2)
         for _ in range(5):
             noise = state.sample_noise(rng)
@@ -249,10 +308,11 @@ class TestGradient:
 
     def test_x_gradient_vanishes_when_tilt_sample_is_zero(self):
         state, model, corpus, rng = _poisson_state_and_model(seed=4)
-        state.families["eta"].mu[:] = 0.0
+        state.parameters()["eta.mu"][:] = 0.0
         noise = state.sample_noise(rng)
-        noise["eta"][:] = 0.0  # forces the eta sample to exactly zero
-        samples = {name: s for name, (_, s, _) in state.draw(noise).items()}
+        state.split(noise)["eta"][:] = 0.0  # forces the eta sample to exactly zero
+        samples = state.samples(*state.draw(noise)[:2])
+        assert np.array_equal(samples["eta"], np.zeros_like(samples["eta"]))
         _, grads = model.loglik(samples, np.arange(corpus.num_docs))
         assert np.array_equal(grads["x"], np.zeros_like(grads["x"]))
 
@@ -341,15 +401,16 @@ class TestUnderflow:
     @staticmethod
     def _underflowed_state(seed):
         state, model, corpus, rng = _poisson_state_and_model(seed=seed)
-        state.families["theta"].mu[0, 0] = -800.0
-        state.families["beta"].mu[0, 0] = -800.0
+        params = state.parameters()
+        params["theta.mu"][0, 0] = -800.0
+        params["beta.mu"][0, 0] = -800.0
         return state, model, corpus, rng
 
     def test_finite_objective_and_gradients(self):
         state, model, corpus, rng = self._underflowed_state(14)
         noise = state.sample_noise(rng)
-        draws = state.draw(noise)
-        assert draws["theta"][1][0, 0] == 0.0 and draws["beta"][1][0, 0] == 0.0
+        samples = state.samples(*state.draw(noise)[:2])
+        assert samples["theta"][0, 0] == 0.0 and samples["beta"][0, 0] == 0.0
         batch = np.arange(corpus.num_docs)
         assert math.isfinite(elbo_estimate(state, batch, model, corpus.num_docs, noise))
         _, grad = gradient(state, batch, model, corpus.num_docs, noise)
@@ -403,13 +464,19 @@ class TestAdam:
 class TestFlatParameters:
     @staticmethod
     def _assert_views_of_flat(state):
-        for name, fam in state.families.items():
-            assert np.shares_memory(fam.mu, state.flat), name
-            assert np.shares_memory(fam.log_sigma, state.flat), name
+        for key, view in state.parameters().items():
+            assert np.shares_memory(view, state.flat), key
 
-    def test_families_are_views_of_flat_buffer(self):
+    def test_factors_are_views_of_flat_buffer(self):
         state, _, _, _ = _poisson_state_and_model(seed=3)
         self._assert_views_of_flat(state)
+        # Every factor's mu, then every factor's log_sigma, in factor order.
+        params = state.parameters()
+        assert list(params) == [f"{name}.{part}" for part in ("mu", "log_sigma")
+                                for name in ("theta", "beta", "eta", "x")]
+        assert state.flat.size == 2 * state.size
+        assert np.array_equal(state.mu, np.concatenate(
+            [params[f"{name}.mu"].ravel() for name in ("theta", "beta", "eta", "x")]))
         assert state.flat.size == sum(p.size for p in state.parameters().values())
         params = {k: p + 1.0 for k, p in state.parameters().items()}
         state.set_parameters(params)
@@ -420,8 +487,7 @@ class TestFlatParameters:
             state.flat, np.concatenate([p.ravel() for p in params.values()]))
 
     def test_set_parameters_rejects_a_wrong_shape(self):
-        state = VariationalState({"x": Family(np.zeros(3), np.zeros(3))},
-                                 {"x": NormalPrior()})
+        state = VariationalState({"x": (np.zeros(3), np.zeros(3))})
         with pytest.raises(ValueError, match="x.mu"):
             state.set_parameters({"x.mu": np.zeros(4), "x.log_sigma": np.zeros(3)})
 
@@ -476,10 +542,10 @@ class TestElboUnbiasedness:
         rng = np.random.default_rng(0)
         state = make_state(corpus, 1, np.array([[0.8]]), np.array([[1.2]]),
                            PriorConfig(a=0.3, b=0.3), rng)
-        for fam in state.families.values():
-            fam.log_sigma[:] = math.log(0.4)
-        state.families["eta"].mu[:] = 0.3
-        state.families["x"].mu[:] = -0.2
+        state.log_sigma[:] = math.log(0.4)
+        params = state.parameters()
+        params["eta.mu"][:] = 0.3
+        params["x.mu"][:] = -0.2
         model = TBIPModel(corpus, np.ones(1))
 
         draws = 20_000
@@ -512,10 +578,7 @@ class _RecordingModel:
 
 def _recording_fit(num_items, **settings):
     model = _RecordingModel(num_items)
-    state = VariationalState(
-        engine.gaussian_families({"x": num_items}, np.random.default_rng(0)),
-        {"x": NormalPrior()},
-    )
+    state = VariationalState(engine.gaussian_factors({"x": num_items}, np.random.default_rng(0)))
     trace = engine.fit(state, model, TrainConfig(**settings), np.random.default_rng(1))
     return model, trace
 
@@ -540,21 +603,20 @@ class TestFitLoop:
     def test_fit_leaves_the_callers_initial_arrays_unchanged(self):
         mu = np.array([0.3, -0.2, 0.1])
         log_sigma = np.full(3, math.log(0.1))
-        state = VariationalState({"x": Family(mu, log_sigma)}, {"x": NormalPrior()})
+        state = VariationalState({"x": (mu, log_sigma)})
         engine.fit(state, _RecordingModel(3), TrainConfig(max_steps=5, batch_size=3),
                    np.random.default_rng(0))
-        assert not np.array_equal(state.families["x"].mu, mu)  # the fit moved
+        assert not np.array_equal(state.parameters()["x.mu"], mu)  # the fit moved
         assert np.array_equal(mu, [0.3, -0.2, 0.1])
         assert np.array_equal(log_sigma, np.full(3, math.log(0.1)))
 
     def test_fit_leaves_arrays_given_to_set_parameters_unchanged(self):
-        state = VariationalState(
-            {"x": Family(np.zeros(3), np.zeros(3))}, {"x": NormalPrior()})
+        state = VariationalState({"x": (np.zeros(3), np.zeros(3))})
         params = {"x.mu": np.array([0.3, -0.2, 0.1]), "x.log_sigma": np.full(3, -2.0)}
         state.set_parameters(params)
         engine.fit(state, _RecordingModel(3), TrainConfig(max_steps=5, batch_size=3),
                    np.random.default_rng(0))
-        assert not np.array_equal(state.families["x"].mu, params["x.mu"])
+        assert not np.array_equal(state.parameters()["x.mu"], params["x.mu"])
         assert np.array_equal(params["x.mu"], [0.3, -0.2, 0.1])
         assert np.array_equal(params["x.log_sigma"], np.full(3, -2.0))
 
@@ -579,10 +641,7 @@ class TestFitLoop:
             AdamState()
 
     def test_nonfinite_objective_raises_with_step(self):
-        state = VariationalState(
-            {"x": Family(np.array([800.0]), np.zeros(1))},
-            {"x": NormalPrior()},
-        )
+        state = VariationalState({"x": (np.array([800.0]), np.zeros(1))})
 
         class ExplodingModel:
             num_items = 1
@@ -602,9 +661,7 @@ class TestFitLoop:
         model = WordfishModel([np.ones((3, 2))])
         rng = np.random.default_rng(0)
         state = VariationalState(
-            engine.gaussian_families({"alpha": 3, "psi": 2, "b": 2, "x": 3}, rng),
-            {name: NormalPrior() for name in ("alpha", "psi", "b", "x")},
-        )
+            engine.gaussian_factors({"alpha": 3, "psi": 2, "b": 2, "x": 3}, rng))
         # A subsampled batch is a caller error for the full-batch model, not
         # a non-finite objective.
         with pytest.raises(ValueError, match="full-batch"):

@@ -5,10 +5,10 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import poisson
 
-from _oracles import tbip_loglik
+from _oracles import factor_draws, tbip_loglik
 from textideal import engine, tbip
 from textideal.corpus import SparseCorpus, compute_weights
 from textideal.synth import SynthSpec, sample_tbip
@@ -98,22 +98,33 @@ def _tiny_corpus(rng, num_docs=8, num_terms=6, num_authors=3):
                         [f"a{i}" for i in range(num_authors)])
 
 
-def _assert_close_rel(got, expected, rtol=1e-12):
-    """Agreement relative to the largest magnitude of the expected array."""
+def _assert_close_rel(got, expected, rtol=1e-12, magnitude=None):
+    """Agreement relative to the largest magnitude of the expected array.
+
+    `magnitude`, when given, is per entry the sum of |terms| that the
+    expected entry adds up; an entry whose terms cancel may then differ by
+    rtol times that sum.
+    """
     got, expected = np.asarray(got), np.asarray(expected)
     assert got.shape == expected.shape
-    assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
+    bound = np.max(np.abs(expected))
+    if magnitude is not None:
+        bound = np.maximum(bound, magnitude)
+    assert np.all(np.abs(got - expected) <= rtol * bound)
 
 
 def _check_both_layouts(corpus, dense, weights, samples, doc_idx):
     """Value and every gradient of both layouts within 1e-12 of the loop
-    oracle."""
+    oracle: the value relative to itself, each gradient entry relative to
+    the larger of the gradient's largest entry and the entry's own terms."""
     doc_idx = np.asarray(doc_idx)
-    exp_value, exp_grads = tbip_loglik(dense, corpus.author_of, weights, samples, doc_idx)
+    exp_value, exp_grads, mags = tbip_loglik(dense, corpus.author_of, weights, samples,
+                                             doc_idx, magnitudes=True)
     # theta and beta gradients are with respect to their logs: the oracle's
     # sample-space gradient times the sample.
     for name in ("theta", "beta"):
         exp_grads[name] = exp_grads[name] * samples[name]
+        mags[name] = mags[name] * samples[name]
     # Both layouts: the corpus read as dense rows, and as one block per
     # author over the terms its batch documents use.
     for dense_share in (0.0, np.inf):
@@ -124,7 +135,7 @@ def _check_both_layouts(corpus, dense, weights, samples, doc_idx):
             _assert_close_rel(value, exp_value)
             assert set(grads) == set(exp_grads)
             for name in exp_grads:
-                _assert_close_rel(grads[name], exp_grads[name])
+                _assert_close_rel(grads[name], exp_grads[name], magnitude=mags[name])
 
 
 class TestLoglikMatchesLoopOracle:
@@ -261,8 +272,38 @@ def _loglik_cases(draw):
     return corpus, dense, weights, samples, batch, tile_cells
 
 
+def _cancelling_case():
+    """A drawn case whose theta gradient cancels: one document and one topic
+    over 11 terms with counts 3 and 4. w (sum_v (y / lam) basis - r) is
+    -1.3e-4 from terms of order 1, so rounding in either layout reads as
+    6e-12 to 1e-11 relative to the gradient itself."""
+    rng = np.random.default_rng(2027)
+    author_of = rng.integers(0, 1, 1)
+    dense = rng.poisson(1.5, (1, 11)) + 1.0
+    dense[rng.random((1, 11)) >= 0.15] = 0.0
+    corpus = SparseCorpus(sp.csr_matrix(dense), author_of, ["a0"])
+    samples = {
+        "theta": rng.gamma(1.0, 1.0, (1, 1)) + 0.05,
+        "beta": rng.gamma(1.0, 1.0, (1, 11)) + 0.05,
+        "eta": rng.normal(0.0, 0.7, (1, 11)),
+        "x": rng.normal(0.0, 1.0, 1),
+    }
+    weights = rng.uniform(0.5, 2.0, 1)
+    return corpus, dense, weights, samples, np.array([0]), tbip._TILE_CELLS
+
+
+def test_pinned_case_cancels():
+    """The explicit example below is the cancellation it stands for."""
+    corpus, dense, weights, samples, batch, _ = _cancelling_case()
+    assert sorted(dense[dense > 0]) == [3.0, 4.0]
+    _, grads, mags = tbip_loglik(dense, corpus.author_of, weights, samples, batch,
+                                 magnitudes=True)
+    assert abs(grads["theta"][0, 0]) < 1e-3 * mags["theta"][0, 0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_loglik_cases())
+@example(case=_cancelling_case())
 def test_both_layouts_match_loop_oracle_on_drawn_corpora(case):
     corpus, dense, weights, samples, batch, tile_cells = case
     # The layout the corpus's own density picks, then both of them.
@@ -370,36 +411,26 @@ class TestPinnedTiltMatchesFactorization:
         beta0 = rng.gamma(1.0, 1.0, (2, corpus.num_terms)) + 0.2
         state = make_state(corpus, 2, theta0, beta0, priors, rng)
         pin = 1e-13
+        params = state.parameters()
         for name in ("eta", "x"):
-            state.families[name].mu[:] = 0.0
-            state.families[name].log_sigma[:] = math.log(pin)
+            params[f"{name}.mu"][:] = 0.0
+            params[f"{name}.log_sigma"][:] = math.log(pin)
         weights = compute_weights(corpus)
         model = TBIPModel(corpus, weights)
         noise = state.sample_noise(rng)
         batch = np.arange(corpus.num_docs)
         full = engine.elbo_estimate(state, batch, model, corpus.num_docs, noise)
 
-        draws = state.draw(noise)
-        pinned_terms = 0.0
-        for name in ("eta", "x"):
-            fam = state.families[name]
-            u, s, sigma = draws[name]
-            pinned_terms += state.priors[name].log_prob(u, s)
-            pinned_terms -= fam.log_density(u, sigma)
-
-        (u_theta, theta, sigma_theta), (u_beta, beta, sigma_beta) = draws["theta"], draws["beta"]
+        draws = factor_draws(state, noise)
+        pinned_terms = sum(draws[name].log_prior - draws[name].log_q for name in ("eta", "x"))
+        theta, beta = draws["theta"].sample, draws["beta"].sample
         rates = weights[corpus.author_of][:, None] * (theta @ beta)
         dense = corpus.counts[batch].toarray()
         from scipy.special import gammaln
 
         pf_lik = float(np.sum(dense * np.log(rates) - rates - gammaln(dense + 1.0)))
-        pf_part = (
-            state.priors["theta"].log_prob(u_theta, theta)
-            + state.priors["beta"].log_prob(u_beta, beta)
-            - state.families["theta"].log_density(u_theta, sigma_theta)
-            - state.families["beta"].log_density(u_beta, sigma_beta)
-            + pf_lik
-        )
+        pf_part = sum(draws[name].log_prior - draws[name].log_q
+                      for name in ("theta", "beta")) + pf_lik
         # rates with a vanishing tilt agree to float precision, not bitwise
         assert np.isclose(full, pf_part + pinned_terms, rtol=1e-9)
 

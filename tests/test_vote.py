@@ -151,7 +151,7 @@ class TestTrainVote:
         batch = np.arange(votes.num_bills)
         fitted = engine.elbo_estimate(train_state, batch, model,
                                       votes.num_bills, noise)
-        train_state.families["x"].mu += 5.0
+        train_state.parameters()["x.mu"][:] += 5.0
         shifted = engine.elbo_estimate(train_state, batch, model,
                                        votes.num_bills, noise)
         assert shifted < fitted
