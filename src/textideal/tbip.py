@@ -14,13 +14,13 @@ Gamma(a, b), eta and x its real (Gaussian) ones.
 
 The minibatch likelihood and its gradients come from one pass in one of
 two self-contained layouts, chosen once per corpus. On a sparse corpus the
-Poisson mass comes from per-author sums over bounded vocabulary tiles, and
-the y / rate terms from a loop over the batch authors, each over only the
-terms its batch documents use. On a corpus at least a quarter dense, the
-G batch authors' tilted bases are formed once, in one batched pass that
-also gives the mass, and the y / rate terms come from one pass per author
-over only its own documents' dense rows, costing B * V * K per batch of B
-documents.
+Poisson mass comes from per-author sums over cache-sized tiles, each one
+topic by a span of the vocabulary, and the y / rate terms from a loop over
+the batch authors, each over only the terms its batch documents use. On a
+corpus at least a quarter dense, the G batch authors' tilted bases are
+formed once, in one batched pass that also gives the mass, and the y /
+rate terms come from one pass per author over only its own documents'
+dense rows, costing B * V * K per batch of B documents.
 """
 
 from __future__ import annotations
@@ -136,9 +136,9 @@ def log_likelihood_doc(y_d, rate):
     return float(np.sum(y_d * np.log(rate) - rate - gammaln(y_d + 1.0)))
 
 
-# Cells of one exp(x_a * eta) block of the likelihood's mass, topics x batch
-# authors x vocabulary tile: large enough that numpy's per-call overhead
-# stays small, small enough to stay in cache.
+# Cells of one exp(x_a * eta) tile of the mass: one topic x batch authors x
+# a span of the vocabulary. Large enough that the inner loops run long and
+# numpy's per-call overhead stays small, small enough to stay in cache.
 _TILE_CELLS = 1 << 17
 
 
@@ -149,23 +149,23 @@ def _mass_sums(beta, eta, x_batch, c):
     With E_a = exp(x_a * eta) for the G batch authors and c (K x G), returns
     `sums` (K x G x 2), r_a = sum_v beta * E_a and q_a = sum_v beta * eta *
     E_a, and `mass` (2 x K x V), sum_a c_a * E_a and sum_a x_a * c_a * E_a.
-    E is built one vocabulary tile of at most _TILE_CELLS cells at a time.
+    E is built one topic x (_TILE_CELLS // G terms) tile at a time.
     """
     k, v = beta.shape
-    tile = max(1, _TILE_CELLS // max(1, k * x_batch.size))
+    span = max(1, min(v, _TILE_CELLS // x_batch.size))
     x_col = x_batch[:, None]
     sums = np.zeros((k, x_batch.size, 2))
     lhs = np.stack([c, c * x_batch], axis=1)
     mass = np.empty((2, k, v))
-    for v0 in range(0, v, tile):
-        cols = slice(v0, v0 + tile)
-        e = eta[:, None, cols] * x_col
-        np.exp(e, out=e)
-        rhs = np.empty((k, e.shape[2], 2))
-        rhs[:, :, 0] = beta[:, cols]
-        np.multiply(beta[:, cols], eta[:, cols], out=rhs[:, :, 1])
-        sums += e @ rhs
-        mass[:, :, cols] = (lhs @ e).transpose(1, 0, 2)
+    e_buf, rhs_buf = np.empty((x_batch.size, span)), np.empty((span, 2))
+    for t in range(k):
+        for v0 in range(0, v, span):
+            b, h = beta[t, v0 : v0 + span], eta[t, v0 : v0 + span]
+            e = np.multiply(x_col, h, out=e_buf[:, : h.size])
+            np.exp(e, out=e)
+            rhs = np.stack([b, b * h], axis=1, out=rhs_buf[: h.size])
+            sums[t] += e @ rhs
+            np.matmul(lhs[t], e, out=mass[:, t, v0 : v0 + span])
     return sums, mass
 
 

@@ -210,8 +210,12 @@ class TestLoglikMatchesLoopOracle:
                                                       num_terms=23, k=k)
         docs = np.random.default_rng(7).permutation(corpus.num_docs)[:20]
         authors = np.unique(corpus.author_of[docs]).size
-        # Tiles of 1, 3 and 7 terms, the last one ragged.
-        assert 1 < -(-corpus.num_terms // max(1, tile_cells // (k * authors)))
+        # Each topic's tiles span floor(_TILE_CELLS / G) = 1, 10 and 7 of the
+        # 23 terms (G = 4): more than one tile per topic, the last one ragged
+        # above span 1.
+        span = max(1, tile_cells // authors)
+        assert 1 < -(-corpus.num_terms // span)
+        assert span == 1 or corpus.num_terms % span
         self._check(corpus, dense, weights, samples, docs)
 
     def test_authors_with_disjoint_columns(self):
@@ -235,6 +239,46 @@ class TestLoglikMatchesLoopOracle:
     def test_single_topic(self):
         corpus, dense, weights, samples = self._setup(10, empty_doc=0, num_docs=20, k=1)
         self._check(corpus, dense, weights, samples, [0, 4, 9, 2, 13, 7, 18])
+
+
+def _mass_sums_oracle(beta, eta, x, c, magnitudes=False):
+    """`tbip._mass_sums` from the full K x G x V block exp(x_a eta) and
+    einsum. With `magnitudes`, each entry is instead the sum of |terms|
+    that the entry adds up."""
+    f = np.abs if magnitudes else np.asarray
+    e = np.exp(np.einsum("g,kv->kgv", x, eta))
+    sums = np.stack([np.einsum("kv,kgv->kg", f(beta * w), e) for w in (1.0, eta)], axis=2)
+    mass = np.stack([np.einsum("kg,kgv->kv", f(c * w), e) for w in (1.0, x)])
+    return sums, mass
+
+
+class TestMassSums:
+    """The sparse layout's mass, one topic x span tile at a time, against
+    the whole block at once, within 1e-13 of each entry's sum of |terms|."""
+
+    @pytest.mark.parametrize("k, g, v, tile_cells, tiles", [
+        (3, 5, 23, 20, 6),  # spans of 4 terms, the last one 3
+        (2, 6, 9, 4, 9),  # _TILE_CELLS below G: spans of one term
+        (4, 7, 50, None, 1),  # V within one span
+        (2, 99, 3000, None, 3),  # the real constant: spans of 1323, the last 354
+        (1, 1, 17, 5, 4),  # one topic and one author
+        (1, 1, 17, None, 1),
+    ])
+    def test_matches_einsum_oracle(self, monkeypatch, k, g, v, tile_cells, tiles):
+        if tile_cells is not None:
+            monkeypatch.setattr(tbip, "_TILE_CELLS", tile_cells)
+        assert -(-v // max(1, min(v, tbip._TILE_CELLS // g))) == tiles
+        rng = np.random.default_rng(k * 1000 + g * 10 + v)
+        beta = rng.gamma(1.0, 1.0, (k, v)) + 0.05
+        eta = rng.normal(0.0, 0.7, (k, v))
+        x = rng.normal(0.0, 1.0, g)
+        c = rng.gamma(1.0, 1.0, (k, g))
+        sums, mass = tbip._mass_sums(beta, eta, x, c)
+        for got, expected, magnitude in zip(
+                (sums, mass), _mass_sums_oracle(beta, eta, x, c),
+                _mass_sums_oracle(beta, eta, x, c, magnitudes=True)):
+            assert got.shape == expected.shape
+            assert np.all(np.abs(got - expected) <= 1e-13 * magnitude)
 
 
 @st.composite
