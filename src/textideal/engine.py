@@ -25,7 +25,7 @@ Every parameter lives in one buffer, `VariationalState.flat`: every
 factor's mu, then every factor's log_sigma, in factor order. A noise draw
 is laid out like the mu half. `gradient` returns (estimate, grad) with
 grad laid out like `flat`, and `elbo_estimate` is that estimate alone.
-Adam ascent updates the buffer in place once a step, block by block.
+Adam ascent updates the buffer in place, one array a step.
 """
 
 from __future__ import annotations
@@ -221,11 +221,6 @@ _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
 
-# Cells of one block of `adam_step`: the blocks of p, g, m, v and its two
-# scratch arrays take 768 KiB, which stays in a core's L2 cache while the
-# 14 passes run over them.
-_ADAM_BLOCK = 1 << 14
-
 
 class AdamState:
     """Adam's step count and first/second moments, made on the first step."""
@@ -238,44 +233,32 @@ class AdamState:
 
 
 def adam_step(adam, p, g):
-    """One bias-corrected Adam ascent step on the C-contiguous array `p` in
-    place; returns `p`.
+    """One bias-corrected Adam ascent step on the array `p` in place; returns `p`.
 
-    The moments in `adam` are shaped like `p`. The 14 elementwise passes
-    run block by block over the raveled arrays, so a block stays in cache
-    between passes instead of each pass streaming the whole buffer (101 MB
-    at senate scale) from memory. Each cell sees the same operations in the
-    same order, so the result is bitwise that of whole-array passes.
+    The moments in `adam` are shaped like `p`. One scratch array and one
+    denominator hold every intermediate.
     """
-    if not p.flags.c_contiguous:
-        raise ValueError("adam_step updates a C-contiguous array in place")
     adam.t += 1
     if adam.m is None:
         adam.m = np.zeros_like(p)
         adam.v = np.zeros_like(p)
     c1 = 1.0 - _BETA1**adam.t
     c2 = 1.0 - _BETA2**adam.t
-    p_f, g_f, m_f, v_f = p.ravel(), g.ravel(), adam.m.ravel(), adam.v.ravel()
-    step_buf = np.empty(min(p.size, _ADAM_BLOCK))
-    denom_buf = np.empty_like(step_buf)
-    for lo in range(0, p.size, _ADAM_BLOCK):
-        hi = lo + _ADAM_BLOCK
-        p_b, g_b, m, v = p_f[lo:hi], g_f[lo:hi], m_f[lo:hi], v_f[lo:hi]
-        step, denom = step_buf[: p_b.size], denom_buf[: p_b.size]
-        np.multiply(g_b, 1.0 - _BETA1, out=step)
-        m *= _BETA1
-        m += step
-        np.multiply(g_b, 1.0 - _BETA2, out=step)
-        step *= g_b
-        v *= _BETA2
-        v += step
-        np.divide(v, c2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += _EPS
-        np.divide(m, c1, out=step)
-        step *= adam.lr
-        step /= denom
-        p_b += step
+    m, v = adam.m, adam.v
+    step = np.multiply(g, 1.0 - _BETA1)
+    m *= _BETA1
+    m += step
+    np.multiply(g, 1.0 - _BETA2, out=step)
+    step *= g
+    v *= _BETA2
+    v += step
+    denom = np.divide(v, c2)
+    np.sqrt(denom, out=denom)
+    denom += _EPS
+    np.divide(m, c1, out=step)
+    step *= adam.lr
+    step /= denom
+    p += step
     return p
 
 

@@ -443,12 +443,10 @@ class TestAdam:
         out = adam_step(adam, np.array([1.0, -2.0]), np.array([5.0, 5.0]))
         assert np.array_equal(out, [1.0, -2.0])
 
-    @staticmethod
-    def _check_against_out_of_place_reference(shape, steps=5):
-        """Each in-place step bitwise equal to the textbook update."""
+    def test_in_place_steps_equal_out_of_place_reference(self):
         rng = np.random.default_rng(7)
-        p0 = rng.standard_normal(shape)
-        grads = [rng.standard_normal(shape) for _ in range(steps)]
+        p0 = rng.standard_normal((20, 50))
+        grads = [rng.standard_normal((20, 50)) for _ in range(5)]
         adam = AdamState(lr=0.05)
         live = p0.copy()
         p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
@@ -461,24 +459,6 @@ class TestAdam:
         assert adam.t == len(grads)
         assert type(adam.m) is np.ndarray and type(adam.v) is np.ndarray
         assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
-
-    def test_in_place_steps_equal_out_of_place_reference(self):
-        self._check_against_out_of_place_reference((20, 50))
-
-    @pytest.mark.parametrize("shape, block", [
-        ((23,), 8), ((5, 7), 8), ((2 * engine._ADAM_BLOCK + 7,), None),
-    ])
-    def test_blocks_equal_out_of_place_reference(self, monkeypatch, shape, block):
-        """Two full blocks or more and a ragged tail, flat and 2-D."""
-        if block is not None:
-            monkeypatch.setattr(engine, "_ADAM_BLOCK", block)
-        size = math.prod(shape)
-        assert size > 2 * engine._ADAM_BLOCK and size % engine._ADAM_BLOCK
-        self._check_against_out_of_place_reference(shape, steps=3)
-
-    def test_rejects_an_array_it_cannot_update_in_place(self):
-        with pytest.raises(ValueError, match="C-contiguous"):
-            adam_step(AdamState(lr=0.1), np.zeros(8)[::2], np.ones(4))
 
 
 class TestFlatParameters:
